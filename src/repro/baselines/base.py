@@ -38,6 +38,16 @@ class DetectionResult:
     tool: str
     functions: set[int] = field(default_factory=set)
     elapsed_seconds: float = 0.0
+    #: The part of ``elapsed_seconds`` spent building the binary's
+    #: shared analysis artifacts (decode index, sweep, exception
+    #: metadata, PLT, CET note), which any later tool reuses for free.
+    shared_seconds: float = 0.0
+
+    @property
+    def own_seconds(self) -> float:
+        """The detector's own time: ``elapsed_seconds`` less the shared
+        artifacts it happened to build first."""
+        return self.elapsed_seconds - self.shared_seconds
 
 
 class FunctionDetector(abc.ABC):
@@ -67,6 +77,8 @@ class FunctionDetector(abc.ABC):
         unless the detector's declared cost is below the disk cache's
         own round-trip cost, in which case the store is bypassed.
         """
+        ctx = get_context(elf)
+        shared_before = ctx.shared_seconds
         started = time.perf_counter()
         with obs.span("detect", tool=self.name):
             if self.cacheable:
@@ -74,7 +86,7 @@ class FunctionDetector(abc.ABC):
                     self.cost_per_mb is None
                     or self.cost_per_mb >= DISK_CACHE_MIN_COST_PER_MB
                 )
-                functions = get_context(elf).detector_result(
+                functions = ctx.detector_result(
                     self.name, lambda: self._detect(elf),
                     use_disk=use_disk,
                 )
@@ -83,8 +95,9 @@ class FunctionDetector(abc.ABC):
         elapsed = time.perf_counter() - started
         obs.add("detect.runs", 1)
         obs.add("detect.functions", len(functions))
-        return DetectionResult(tool=self.name, functions=functions,
-                               elapsed_seconds=elapsed)
+        return DetectionResult(
+            tool=self.name, functions=functions, elapsed_seconds=elapsed,
+            shared_seconds=ctx.shared_seconds - shared_before)
 
     def detect_bytes(self, data: bytes) -> DetectionResult:
         return self.detect(ELFFile(data))

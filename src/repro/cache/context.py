@@ -23,11 +23,16 @@ configured. Two rules keep cached and uncached runs bit-identical:
   diagnostic-free artifacts are eligible;
 - loads validate through the same strict codecs that wrote the entry,
   and any mismatch degrades to a recompute.
+
+The context also clocks the wall time spent building its artifacts
+(:attr:`AnalysisContext.shared_seconds`), so a detector's timing can
+leave out shared work it merely happened to trigger first.
 """
 
 from __future__ import annotations
 
 import hashlib
+import time
 from collections.abc import Callable
 from typing import TYPE_CHECKING, Any
 
@@ -40,6 +45,7 @@ from repro.elf.gnuproperty import CetFeatures, parse_cet_features
 from repro.elf.lsda import landing_pads_from_exception_info
 from repro.elf.parser import ELFFile
 from repro.elf.plt import PLTMap, build_plt_map
+from repro.x86.superset import DecodeIndex, get_index
 
 if TYPE_CHECKING:
     # repro.core imports this module (FunSeeker reads its artifacts
@@ -58,6 +64,9 @@ class AnalysisContext:
         self.elf = elf
         self._memo: dict[str, Any] = {}
         self._hash: str | None = None
+        #: Wall seconds spent computing (or loading) memoized artifacts.
+        self.shared_seconds = 0.0
+        self._computing = False
 
     # -- identity -----------------------------------------------------------
 
@@ -74,11 +83,24 @@ class AnalysisContext:
         value = self._memo.get(key, _MISS)
         if value is _MISS:
             obs.add("ctx.memo_misses", 1)
-            value = compute()
+            value = self._clocked(compute)
             self._memo[key] = value
         else:
             obs.add("ctx.memo_hits", 1)
         return value
+
+    def _clocked(self, compute: Callable[[], Any]) -> Any:
+        """Run ``compute``, adding its wall time to :attr:`shared_seconds`
+        unless an outer artifact computation is already being clocked."""
+        if self._computing:
+            return compute()
+        self._computing = True
+        started = time.perf_counter()
+        try:
+            return compute()
+        finally:
+            self._computing = False
+            self.shared_seconds += time.perf_counter() - started
 
     def _disk_backed(
         self,
@@ -128,6 +150,15 @@ class AnalysisContext:
     @property
     def bits(self) -> int:
         return 64 if self.elf.is64 else 32
+
+    def index(self) -> DecodeIndex | None:
+        """The per-offset decode index of ``.text`` (memory only; the
+        sweep walks the same memoized index)."""
+        txt = self._text()
+        if txt is None or not txt.data:
+            return None
+        return self._memoized(
+            "index", lambda: get_index(txt.data, self.bits, txt.sh_addr))
 
     def sweep(self) -> SweepResult | None:
         """The linear-sweep collection pass over ``.text``."""

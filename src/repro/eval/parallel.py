@@ -72,6 +72,7 @@ from repro.eval.isolation import (
     PHASE_WORKER,
     FailureRecord,
     run_cell,
+    watchdog_armable,
 )
 from repro.eval.metrics import score
 from repro.eval.runner import EvalReport, RunRecord, _breaker_failure
@@ -393,6 +394,9 @@ def _evaluate_job_inner(
     prov = _job_provenance(job)
     records: list[RunRecord] = []
     failures: list[FailureRecord] = []
+    # As in the serial runner: a timeout requested where SIGALRM cannot
+    # be armed (workers=1 off the main thread) was never enforced.
+    enforced = timeout is None or timeout <= 0 or watchdog_armable()
 
     def _fail(tool: str, phase: str, error: BaseException,
               attempts: int, elapsed: float) -> None:
@@ -404,6 +408,7 @@ def _evaluate_job_inner(
             message=str(error),
             attempts=attempts,
             elapsed_seconds=elapsed,
+            enforced=enforced,
         ))
 
     with obs.span("entry", suite=suite, program=program):
@@ -443,7 +448,7 @@ def _evaluate_job_inner(
                     opt=opt,
                     tool=name,
                     confusion=confusion,
-                    elapsed_seconds=result.elapsed_seconds,
+                    elapsed_seconds=result.own_seconds,
                     phase_seconds=phases,
                 ))
     return records, failures

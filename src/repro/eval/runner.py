@@ -45,6 +45,8 @@ class RunRecord:
     opt: str
     tool: str
     confusion: Confusion
+    #: The detector's own seconds (:attr:`DetectionResult.own_seconds`):
+    #: shared artifacts are not charged to whichever tool runs first.
     elapsed_seconds: float
     #: Per-phase span totals (seconds) for this cell, keyed by span
     #: name (``detect``/``sweep``/``filter``/...). Populated only when
@@ -272,7 +274,7 @@ def run_evaluation(
                         **prov,
                         tool=tool_name,
                         confusion=confusion,
-                        elapsed_seconds=result.elapsed_seconds,
+                        elapsed_seconds=result.own_seconds,
                         phase_seconds=phases,
                     ))
     return report

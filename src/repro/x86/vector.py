@@ -23,22 +23,18 @@ offsets, so the fallback stays a small fraction of the buffer.
 The pass is opt-out: set ``REPRO_NO_VECTOR`` (or call
 :func:`set_enabled`) to force every consumer back onto the scalar
 sweep — that switch is what the differential tests and the
-``vectorized`` benchmark trajectory compare against. Without NumPy the
-module degrades to unavailable and nothing changes behavior.
+``vectorized`` benchmark trajectory compare against.
 """
 
 from __future__ import annotations
 
 import os
 
+import numpy as _np
+
 from repro.x86 import opcodes as OP
 from repro.x86.decoder import DecodeError, decode_raw
 from repro.x86.insn import TERMINATOR_CLASSES
-
-try:  # NumPy is a declared dependency, but stay importable without it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on bare installs
-    _np = None
 
 #: Environment kill switch: any non-empty value disables the pass.
 ENV_DISABLE = "REPRO_NO_VECTOR"
@@ -55,8 +51,6 @@ def set_enabled(flag: bool | None) -> None:
 
 def available() -> bool:
     """Whether consumers should take the vectorized decode path."""
-    if _np is None:
-        return False
     if _FORCED is not None:
         return _FORCED
     return not os.environ.get(ENV_DISABLE)
@@ -146,19 +140,18 @@ def _build_prefix_bits(kinds) -> "object":
     return bits
 
 
-if _np is not None:
-    _PK32 = _np.array(OP.PREFIX_KIND, dtype=_np.uint8)
-    _PK64 = _np.array(OP.PREFIX_KIND_64, dtype=_np.uint8)
-    _PB32 = _build_prefix_bits(OP.PREFIX_KIND)
-    _PB64 = _build_prefix_bits(OP.PREFIX_KIND_64)
-    _SPEC1 = _np.array(OP.ONE_BYTE, dtype=_np.int16)
-    _SPEC2 = _np.array(OP.TWO_BYTE, dtype=_np.int16)
-    _IMM_LUT32 = _build_imm_lut(False)
-    _IMM_LUT64 = _build_imm_lut(True)
-    _MODRM_LUT = _build_modrm_lut()
-    _TERM_LUT = _np.zeros(256, dtype=bool)
-    for _k in TERMINATOR_CLASSES:
-        _TERM_LUT[int(_k)] = True
+_PK32 = _np.array(OP.PREFIX_KIND, dtype=_np.uint8)
+_PK64 = _np.array(OP.PREFIX_KIND_64, dtype=_np.uint8)
+_PB32 = _build_prefix_bits(OP.PREFIX_KIND)
+_PB64 = _build_prefix_bits(OP.PREFIX_KIND_64)
+_SPEC1 = _np.array(OP.ONE_BYTE, dtype=_np.int16)
+_SPEC2 = _np.array(OP.TWO_BYTE, dtype=_np.int16)
+_IMM_LUT32 = _build_imm_lut(False)
+_IMM_LUT64 = _build_imm_lut(True)
+_MODRM_LUT = _build_modrm_lut()
+_TERM_LUT = _np.zeros(256, dtype=bool)
+for _k in TERMINATOR_CLASSES:
+    _TERM_LUT[int(_k)] = True
 
 _SPEC_38 = OP.spec(OP.MODRM)                 # whole 0F 38 map
 _SPEC_3A = OP.spec(OP.MODRM, OP.IMM_IB)      # whole 0F 3A map

@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro.baselines.fetch_like import FetchLikeDetector, _stack_effect
+from repro.baselines.fetch_like import FetchLikeDetector
 from repro.elf.parser import ELFFile
 from repro.eval.metrics import score
 from repro.synth import CompilerProfile, generate_program, link_program
+
+from tests.baselines import array_stack_effect
 
 
 def _detect(profile, seed=31, cxx=False, n=60):
@@ -31,7 +33,7 @@ class TestStackEffect:
         (b"\x48\x83\xc0\x08", 0),             # add rax, 8 (not rsp)
     ])
     def test_effects_64(self, raw, effect):
-        assert _stack_effect(raw, 64) == effect
+        assert array_stack_effect(raw, 64) == effect
 
     @pytest.mark.parametrize("raw,effect", [
         (b"\x55", -4),                        # push ebp
@@ -39,7 +41,7 @@ class TestStackEffect:
         (b"\x83\xc4\x10", 0x10),              # add esp, 0x10
     ])
     def test_effects_32(self, raw, effect):
-        assert _stack_effect(raw, 32) == effect
+        assert array_stack_effect(raw, 32) == effect
 
 
 class TestDetection:

@@ -74,6 +74,20 @@ class TestSharedAcrossConsumers:
         assert first == second
         assert first is not second
 
+    @pytest.mark.parametrize("first", [FunSeekerDetector, FetchLikeDetector])
+    def test_shared_artifacts_not_charged_to_first_tool(self, sample_binary,
+                                                        first):
+        # Whichever tool runs first builds the index and the artifacts
+        # the others reuse; its own time leaves that work out.
+        elf = ELFFile(sample_binary.data)
+        ctx = get_context(elf)
+        result = first().detect(elf)
+        assert result.shared_seconds == ctx.shared_seconds > 0
+        assert 0 <= result.own_seconds < result.elapsed_seconds
+        again = first().detect(elf)
+        assert again.shared_seconds == 0
+        assert again.own_seconds == again.elapsed_seconds
+
 
 class TestStrictFdeSemantics:
     """The baselines' contract: a malformed .eh_frame yields empty FDE

@@ -48,11 +48,11 @@ class TestStackOps:
             assert first.length + second.length == len(code)
 
     def test_stack_effects_match_fetch_model(self):
-        from repro.baselines.fetch_like import _stack_effect
+        from tests.baselines import array_stack_effect
 
         asm = Asm(64)
         asm.sub_sp(0x28)
-        assert _stack_effect(bytes(asm.code.buf), 64) == -0x28
+        assert array_stack_effect(bytes(asm.code.buf), 64) == -0x28
 
 
 class TestMemOps:
