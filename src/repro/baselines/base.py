@@ -14,12 +14,12 @@ import abc
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro import obs
 from repro.cache.context import get_context
 from repro.elf import constants as C
 from repro.elf.parser import ELFFile
-from repro.x86 import vector
-from repro.x86.decoder import DecodeError, decode
 from repro.x86.insn import TERMINATOR_CLASSES, InsnClass
 from repro.x86.superset import get_index
 
@@ -126,62 +126,26 @@ def fde_starts(elf: ELFFile) -> tuple[set[int], list[tuple[int, int]]]:
     return get_context(elf).fde_starts()
 
 
+_CALL_DIRECT = int(InsnClass.CALL_DIRECT)
+_TERMINATORS = frozenset(int(k) for k in TERMINATOR_CLASSES)
+
+#: Per instruction class, whether it ends a straight-line run.
+IS_TERMINATOR = np.zeros(256, dtype=bool)
+IS_TERMINATOR[sorted(_TERMINATORS)] = True
+
+
 def recursive_traversal(
     data: bytes, base: int, bits: int, seeds: set[int]
 ) -> set[int]:
     """Follow direct calls transitively from the seed entry points.
 
-    Disassembles each function from its entry until a terminator (or a
-    decode failure), queuing every direct-call target found. Direct
-    unconditional jump targets are followed as code but not recorded as
-    entries — the conservatism that costs IDA-style tools their recall
-    on indirectly-reached functions (§V-C).
-    """
-    if vector.available():
-        return _recursive_traversal_indexed(data, base, bits, seeds)
-    end = base + len(data)
-    found: set[int] = set()
-    work = [s for s in seeds if base <= s < end]
-    visited_bytes: set[int] = set()
-    while work:
-        entry = work.pop()
-        if entry in found:
-            continue
-        found.add(entry)
-        offset = entry - base
-        # Walk straight-line code collecting call targets; bounded by
-        # section end and previously visited bytes.
-        steps = 0
-        while offset < len(data) and steps < 100000:
-            if offset in visited_bytes:
-                break
-            visited_bytes.add(offset)
-            try:
-                insn = decode(data, offset, base + offset, bits)
-            except DecodeError:
-                break
-            if insn.klass == InsnClass.CALL_DIRECT and insn.target is not None:
-                if base <= insn.target < end and insn.target not in found:
-                    work.append(insn.target)
-            if insn.is_terminator:
-                break
-            offset += insn.length
-            steps += 1
-    return found
-
-
-_CALL_DIRECT = int(InsnClass.CALL_DIRECT)
-_TERMINATORS = frozenset(int(k) for k in TERMINATOR_CLASSES)
-
-
-def _recursive_traversal_indexed(
-    data: bytes, base: int, bits: int, seeds: set[int]
-) -> set[int]:
-    """The same traversal, walking the shared decode index.
-
-    Work-list order, the visited-bytes stop, the step bound and the
-    decode-failure handling all mirror the scalar loop exactly, so the
-    entry sets are identical.
+    Walks each function from its entry over the shared decode index
+    until a terminator (or a decode failure), queuing every direct-call
+    target found; the walk also stops at bytes an earlier walk visited
+    and after 100,000 steps. Direct unconditional jump targets are
+    followed as code but not recorded as entries — the conservatism
+    that costs IDA-style tools their recall on indirectly-reached
+    functions (§V-C).
     """
     index = get_index(data, bits, base)
     lengths = index.lengths
@@ -192,31 +156,66 @@ def _recursive_traversal_indexed(
     found: set[int] = set()
     work = [s for s in seeds if base <= s < end]
     visited_bytes: set[int] = set()
-    while work:
-        entry = work.pop()
-        if entry in found:
-            continue
-        found.add(entry)
-        offset = entry - base
-        steps = 0
-        while offset < n and steps < 100000:
-            if offset in visited_bytes:
-                break
-            visited_bytes.add(offset)
-            length = lengths[offset]
-            if length == 0:
-                break
-            klass = klasses[offset]
-            if klass == _CALL_DIRECT:
-                target = targets.get(offset)
-                if target is not None and base <= target < end \
-                        and target not in found:
-                    work.append(target)
-            if klass in _TERMINATORS:
-                break
-            offset += length
-            steps += 1
+    insns = 0
+    with obs.span("traversal", seeds=len(work)):
+        while work:
+            entry = work.pop()
+            if entry in found:
+                continue
+            found.add(entry)
+            offset = entry - base
+            steps = 0
+            while offset < n and steps < 100000:
+                if offset in visited_bytes:
+                    break
+                visited_bytes.add(offset)
+                length = lengths[offset]
+                if length == 0:
+                    break
+                insns += 1
+                klass = klasses[offset]
+                if klass == _CALL_DIRECT:
+                    target = targets.get(offset)
+                    if target is not None and base <= target < end \
+                            and target not in found:
+                        work.append(target)
+                if klass in _TERMINATORS:
+                    break
+                offset += length
+                steps += 1
+    obs.add("traversal.entries", len(found))
+    obs.add("traversal.insns", insns)
     return found
+
+
+def straight_line_prefix(lengths: np.ndarray, klasses: np.ndarray,
+                         offs: np.ndarray, steps: int) -> np.ndarray:
+    """Which of ``offs`` start a coherent straight-line prefix.
+
+    ``lengths`` and ``klasses`` are a :class:`DecodeIndex`'s per-offset
+    arrays as ``uint8``. From each offset, up to ``steps`` instructions
+    must decode without running off the buffer, unless a terminator
+    ends the run first — the check pre-CET tools make before trusting
+    a candidate entry. All candidates advance together, one instruction
+    per round.
+    """
+    n = len(lengths)
+    pos = offs.astype(np.int64)
+    ok = np.zeros(len(pos), dtype=bool)
+    alive = (pos >= 0) & (pos < n)
+    for _ in range(steps):
+        idx = np.flatnonzero(alive)
+        if not idx.size:
+            break
+        at = pos[idx]
+        length = lengths[at]
+        failed = length == 0
+        ended = ~failed & IS_TERMINATOR[klasses[at]]
+        ok[idx[ended]] = True
+        nxt = at + length
+        alive[idx[failed | ended | (nxt >= n)]] = False
+        pos[idx] = nxt
+    return ok | alive
 
 
 # Prologue byte signatures (pre-CET tool heuristics).
@@ -231,42 +230,58 @@ _PROLOGUE_SIGS_32 = (
     b"\x83\xec",             # sub esp, imm8
 )
 
+#: Both end-branch encodings as one little-endian word under a mask:
+#: ``f3 0f 1e fa`` (endbr64) and ``f3 0f 1e fb`` (endbr32) differ only
+#: in the low bit of their last byte.
+_ENDBR_WORD = 0xFA1E0FF3
+_ENDBR_MASK = 0xFEFFFFFF
 
-def prologue_scan(
-    data: bytes, base: int, bits: int, *, alignment: int = 16,
-    skip: set[int] | None = None,
-) -> set[int]:
-    """Scan aligned addresses for classic prologue byte patterns.
+#: Prologue windows sit on 16-byte boundaries, the function alignment
+#: compilers pad to (Springer et al., "Padding Matters").
+_ALIGNMENT = 16
 
-    This is the compiler-specific pattern matching mainstream tools use
-    to sweep gaps (§VII-B). It knows nothing about end-branch
-    instructions.
+
+#: Per bitness, the signatures as little-endian words and byte masks,
+#: one row per signature to broadcast against the windows.
+_SIG_WORDS = {
+    bits: (np.array([[int.from_bytes(sig, "little")] for sig in sigs],
+                    dtype=np.uint32),
+           np.array([[(1 << 8 * len(sig)) - 1] for sig in sigs],
+                    dtype=np.uint32))
+    for bits, sigs in ((64, _PROLOGUE_SIGS_64), (32, _PROLOGUE_SIGS_32))
+}
+
+
+def prologue_hits(data: bytes, base: int, bits: int) -> frozenset[int]:
+    """Aligned addresses whose bytes open with a classic prologue.
+
+    The compiler-specific pattern matching mainstream tools use to
+    sweep gaps (§VII-B). It knows nothing about end-branch instructions
+    as entry markers, but sees through one: the pattern engines match a
+    prologue four bytes into a window that opens with ``endbr64`` or
+    ``endbr32``, and report the aligned address.
+
+    Each 16-byte window is read as little-endian ``uint32`` words, and
+    words 0 and 1 are compared against every signature under its byte
+    mask. ``.text`` is zero-padded to whole windows: no signature byte
+    and no end-branch byte is ``0x00``, so a pattern cut off by the end
+    of the section can never match in the padding.
     """
-    sigs = _PROLOGUE_SIGS_64 if bits == 64 else _PROLOGUE_SIGS_32
-    skip = skip or set()
-    found: set[int] = set()
-    for off in range(0, len(data), alignment):
-        addr = base + off
-        if addr in skip:
-            continue
-        window = data[off : off + 8]
-        for sig in sigs:
-            if window.startswith(sig):
-                found.add(addr)
-                break
-        else:
-            # push rbp preceded by an endbr marker: the pattern engines
-            # match the push, landing 4 bytes in. Model the tools'
-            # endbr-oblivious view: accept when the post-endbr bytes
-            # form a prologue (entry still reported at the aligned
-            # address, which happens to be correct).
-            if window[4:8]:
-                for sig in sigs:
-                    if window[4:].startswith(sig) and _is_endbr(window[:4]):
-                        found.add(addr)
-                        break
+    n = len(data)
+    rows = -(-n // _ALIGNMENT)
+    with obs.span("prologue", bytes=n):
+        padded = data + bytes(rows * _ALIGNMENT - n)
+        words = np.frombuffer(padded, dtype="<u4").reshape(rows, 4)
+        sig, mask = _SIG_WORDS[bits]
+        head, tail = words[:, 0], words[:, 1]
+        hit = ((head & mask) == sig).any(axis=0)
+        hit |= (((head & _ENDBR_MASK) == _ENDBR_WORD)
+                & ((tail & mask) == sig).any(axis=0))
+        # Offsets become addresses as Python ints: kernel-space bases
+        # overflow int64.
+        found = frozenset(
+            base + off
+            for off in (np.flatnonzero(hit) * _ALIGNMENT).tolist())
+    obs.add("prologue.windows", rows)
+    obs.add("prologue.hits", len(found))
     return found
-
-
-def _is_endbr(chunk: bytes) -> bool:
-    return chunk in (b"\xf3\x0f\x1e\xfa", b"\xf3\x0f\x1e\xfb")

@@ -55,19 +55,22 @@ from operator import attrgetter
 import numpy as np
 
 from repro import obs
-from repro.baselines.base import FunctionDetector, fde_starts, text_section
+from repro.baselines.base import (
+    IS_TERMINATOR,
+    FunctionDetector,
+    fde_starts,
+    straight_line_prefix,
+    text_section,
+)
 from repro.cache.context import get_context
 from repro.elf.parser import ELFFile
 from repro.x86.defuse import def_use
-from repro.x86.insn import TERMINATOR_CLASSES, InsnClass
+from repro.x86.insn import InsnClass
 from repro.x86.superset import get_index
 
 _JCC = int(InsnClass.JCC)
 _RET = int(InsnClass.RET)
 _JMP_DIRECT = int(InsnClass.JMP_DIRECT)
-
-_IS_TERMINATOR = np.zeros(256, dtype=bool)
-_IS_TERMINATOR[[int(k) for k in TERMINATOR_CLASSES]] = True
 
 #: Target read for a branch the index holds none for: never in ``.text``.
 _NO_TARGET = (1 << 64) - 1
@@ -92,7 +95,7 @@ _KEEP_HEAD = np.array([(1 << 8 * min(n, 8)) - 1
 _KEEP_TAIL = np.array([(1 << 8 * max(n - 8, 0)) - 1 | 0xFF << 56
                        for n in range(_MAX_INSN + 1)], dtype=np.uint64)
 
-#: Instructions :meth:`_Image._callee_plausible` decodes from a candidate.
+#: Instructions a tail-call candidate's callee side must decode.
 _CALLEE_PREFIX = 8
 
 
@@ -359,8 +362,9 @@ class _Image:
         from the entry to the jump is zero (the frame has been torn
         down), (3) the target is the *start* of a code region — a jump
         into the middle of another FDE range is a shared-code artifact,
-        not a call — and (4) the callee's first instructions decode
-        (:meth:`_callee_plausible`).
+        not a call — and (4) the callee's first :data:`_CALLEE_PREFIX`
+        instructions form a coherent straight-line prefix
+        (:func:`straight_line_prefix`).
         """
         insns, bounds = rg.insns, rg.bounds
         nreg, m = len(rg.starts), len(insns)
@@ -372,7 +376,7 @@ class _Image:
         first, last = bounds[:-1], bounds[1:]
         entered = (last > first) & (
             insns[np.minimum(first, m - 1)] == rg.starts)
-        is_term = _IS_TERMINATOR[klass]
+        is_term = IS_TERMINATOR[klass]
 
         branch = np.flatnonzero((klass == _JCC) | (klass == _JMP_DIRECT))
         target = np.fromiter(
@@ -430,35 +434,9 @@ class _Image:
                 zero[c] = runs.height(int(cand[c]) - a) == 0
 
         found = cand_target[zero]
-        found = found[self._callee_plausible(found)]
+        found = found[straight_line_prefix(self.lengths, self.klasses,
+                                           found, _CALLEE_PREFIX)]
         return {int(t) + self.base for t in found}
-
-    def _callee_plausible(self, offs: np.ndarray) -> np.ndarray:
-        """Calling-convention sanity check on tail-call candidates.
-
-        FETCH validates candidates by examining the callee side: the
-        candidate's first instructions must form a coherent
-        straight-line prefix (no decode failure, no running off the
-        buffer) that either reaches a terminator or decodes
-        :data:`_CALLEE_PREFIX` instructions.
-        """
-        n = self.n
-        pos = offs.copy()
-        ok = np.zeros(len(pos), dtype=bool)
-        alive = (pos >= 0) & (pos < n)
-        for _ in range(_CALLEE_PREFIX):
-            idx = np.flatnonzero(alive)
-            if not idx.size:
-                break
-            at = pos[idx]
-            length = self.lengths[at]
-            failed = length == 0
-            ended = ~failed & _IS_TERMINATOR[self.klasses[at]]
-            ok[idx[ended]] = True
-            nxt = at + length
-            alive[idx[failed | ended | (nxt >= n)]] = False
-            pos[idx] = nxt
-        return ok | alive
 
 
 def _stack_effects(code: np.ndarray, offs: np.ndarray, lens: np.ndarray,

@@ -18,10 +18,10 @@ from __future__ import annotations
 from repro.baselines.base import (
     FunctionDetector,
     fde_starts,
-    prologue_scan,
     recursive_traversal,
     text_section,
 )
+from repro.cache.context import get_context
 from repro.elf.parser import ELFFile
 
 
@@ -43,7 +43,4 @@ class GhidraLikeDetector(FunctionDetector):
         seeds.update(s for s in starts if txt.contains_addr(s))
 
         found = recursive_traversal(txt.data, txt.sh_addr, bits, seeds)
-        found.update(
-            prologue_scan(txt.data, txt.sh_addr, bits, skip=found)
-        )
-        return found
+        return found | get_context(elf).prologue_hits()

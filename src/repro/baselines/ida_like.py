@@ -17,25 +17,27 @@ prologues.
 
 from __future__ import annotations
 
+import numpy as np
+
+from repro import obs
 from repro.baselines.base import (
     FunctionDetector,
-    prologue_scan,
     recursive_traversal,
+    straight_line_prefix,
     text_section,
 )
-from repro.core.disassemble import disassemble
+from repro.cache.context import get_context
 from repro.elf.parser import ELFFile
-from repro.x86 import vector
-from repro.x86.decoder import DecodeError, decode
-from repro.x86.insn import TERMINATOR_CLASSES, InsnClass
-from repro.x86.superset import get_index
+from repro.x86.insn import InsnClass
+from repro.x86.superset import DecodeIndex
 
 #: Classes whose operand is an address-materialization candidate.
 _XREF_CLASSES = frozenset(
     {InsnClass.LEA, InsnClass.MOV_IMM, InsnClass.PUSH_IMM}
 )
 
-_TERMINATORS = frozenset(int(k) for k in TERMINATOR_CLASSES)
+#: Instructions an xref target must decode before it becomes an entry.
+_XREF_PREFIX = 4
 
 
 class IdaLikeDetector(FunctionDetector):
@@ -48,6 +50,7 @@ class IdaLikeDetector(FunctionDetector):
         if txt is None or not txt.data:
             return set()
         bits = 64 if elf.is64 else 32
+        ctx = get_context(elf)
 
         seeds: set[int] = set()
         if txt.contains_addr(elf.header.e_entry):
@@ -57,96 +60,44 @@ class IdaLikeDetector(FunctionDetector):
         # creates functions at such targets. In position-independent
         # code absolute immediates are data, not code pointers, so only
         # RIP-relative LEAs count there.
-        pie = elf.header.is_pie
-        seeds.update(self._xref_targets(txt, bits, pie=pie))
+        seeds.update(_xref_targets(ctx.index(), pie=elf.header.is_pie))
         found = recursive_traversal(txt.data, txt.sh_addr, bits, seeds)
-        # Signature sweep over still-unexplored aligned addresses.
-        found.update(
-            prologue_scan(txt.data, txt.sh_addr, bits, skip=found)
-        )
-        return found
+        # Signature sweep: every aligned prologue match (one scan per
+        # image, shared with Ghidra-like).
+        return found | ctx.prologue_hits()
 
-    def _xref_targets(self, txt, bits: int, *, pie: bool) -> set[int]:
-        data = txt.data
-        base = txt.sh_addr
-        if vector.available():
-            return self._xref_targets_indexed(
-                get_index(data, bits, base), data, base, bits, pie=pie
-            )
-        out: set[int] = set()
-        end = base + len(data)
-        classes = {InsnClass.LEA} if pie else _XREF_CLASSES
-        offset = 0
-        while offset < len(data):
-            try:
-                insn = decode(data, offset, base + offset, bits)
-            except DecodeError:
-                offset += 1
-                continue
-            offset += insn.length
-            if insn.klass in classes and insn.target is not None:
-                if base <= insn.target < end \
-                        and self._plausible_entry(data, insn.target - base,
-                                                  bits):
-                    out.add(insn.target)
-        return out
 
-    def _xref_targets_indexed(
-        self, index, data: bytes, base: int, bits: int, *, pie: bool
-    ) -> set[int]:
-        """The xref sweep off the shared decode index (same outputs)."""
-        out: set[int] = set()
-        end = base + len(data)
-        n = len(data)
-        lengths = index.lengths
-        klasses = index.klasses
-        targets = index.targets
-        classes = frozenset(
-            int(k) for k in ({InsnClass.LEA} if pie else _XREF_CLASSES)
-        )
+def _xref_targets(index: DecodeIndex, *, pie: bool) -> set[int]:
+    """In-``.text`` targets of address-materializing instructions met
+    by a linear sweep over the decode index, kept where the target
+    starts a plausible function (IDA only creates a function at an
+    xref if the bytes there decode)."""
+    n = len(index.lengths)
+    lengths = index.lengths
+    klasses = index.klasses
+    targets = index.targets
+    base = index.base_addr
+    end = base + n
+    classes = frozenset(
+        int(k) for k in ({InsnClass.LEA} if pie else _XREF_CLASSES)
+    )
+    candidates: list[int] = []
+    with obs.span("ida.xrefs", bytes=n):
         offset = 0
         while offset < n:
             length = lengths[offset]
             if length == 0:
                 offset += 1
                 continue
-            klass = klasses[offset]
-            start = offset
+            if klasses[offset] in classes:
+                target = targets.get(offset)
+                if target is not None and base <= target < end:
+                    candidates.append(target - base)
             offset += length
-            if klass in classes:
-                target = targets.get(start)
-                if target is not None and base <= target < end \
-                        and self._plausible_entry_indexed(
-                            index, target - base, n):
-                    out.add(target)
-        return out
-
-    @staticmethod
-    def _plausible_entry(data: bytes, offset: int, bits: int) -> bool:
-        """IDA only creates a function at an xref if the bytes decode."""
-        for _ in range(4):
-            try:
-                insn = decode(data, offset, offset, bits)
-            except DecodeError:
-                return False
-            if insn.is_terminator:
-                return True
-            offset += insn.length
-            if offset >= len(data):
-                return False
-        return True
-
-    @staticmethod
-    def _plausible_entry_indexed(index, offset: int, n: int) -> bool:
-        lengths = index.lengths
-        klasses = index.klasses
-        for _ in range(4):
-            length = lengths[offset]
-            if length == 0:
-                return False
-            if klasses[offset] in _TERMINATORS:
-                return True
-            offset += length
-            if offset >= n:
-                return False
-        return True
+        offs = np.array(candidates, dtype=np.int64)
+        plausible = straight_line_prefix(
+            np.frombuffer(lengths, dtype=np.uint8),
+            np.frombuffer(klasses, dtype=np.uint8), offs, _XREF_PREFIX)
+        out = {base + off for off in offs[plausible].tolist()}
+    obs.add("ida.xref_candidates", len(candidates))
+    return out

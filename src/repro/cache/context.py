@@ -40,11 +40,12 @@ from repro import obs
 from repro.cache import serialize as S
 from repro.cache.disk import default_cache
 from repro.elf import constants as C
-from repro.elf.ehframe import EhFrameError, parse_eh_frame
+from repro.elf.ehframe import EhFrame, parse_eh_frame
 from repro.elf.gnuproperty import CetFeatures, parse_cet_features
 from repro.elf.lsda import landing_pads_from_exception_info
 from repro.elf.parser import ELFFile
 from repro.elf.plt import PLTMap, build_plt_map
+from repro.errors import Diagnostics
 from repro.x86.superset import DecodeIndex, get_index
 
 if TYPE_CHECKING:
@@ -189,22 +190,57 @@ class AnalysisContext:
 
         return self._memoized("robust_sweep", _compute)
 
+    def prologue_hits(self) -> frozenset[int]:
+        """Aligned ``.text`` addresses that open with a classic prologue
+        signature — the pre-CET tools' gap-sweep heuristic, shared by
+        IDA-like and Ghidra-like (memory only: cheaper than a disk
+        round trip)."""
+        from repro.baselines.base import prologue_hits
+
+        txt = self._text()
+        if txt is None or not txt.data:
+            return frozenset()
+        return self._memoized(
+            "prologue",
+            lambda: prologue_hits(txt.data, txt.sh_addr, self.bits))
+
+    def _eh_frame(self, needed_by: str | None) -> tuple[EhFrame, Diagnostics]:
+        """The one degraded parse of ``.eh_frame``, with the anomalies it
+        tolerated on a private collector.
+
+        The parse is held only until ``needed_by``, the other artifact
+        that reads it, has taken it: records kept for the image's
+        lifetime would survive into older GC generations and move
+        collections into later layers.
+        """
+        parsed = self._memo.pop("eh_frame", None)
+        if parsed is None:
+            sec = self.elf.section(C.SECTION_EH_FRAME)
+            diagnostics = Diagnostics()
+            parsed = parse_eh_frame(sec.data, sec.sh_addr, self.elf.is64,
+                                    diagnostics=diagnostics), diagnostics
+            if needed_by is not None and needed_by not in self._memo:
+                self._memo["eh_frame"] = parsed
+        return parsed
+
     def fde_starts(self) -> tuple[set[int], list[tuple[int, int]]]:
         """FDE ``pc_begin`` values and ranges, strict-parse semantics.
 
         Preserves the baselines' historical contract: a malformed
         ``.eh_frame`` yields *empty* results (no diagnostics), it does
-        not degrade into a partial parse.
+        not degrade into a partial parse. The degraded parse records an
+        anomaly exactly where a strict parse would have raised, so
+        "any record" is "the strict parse fails".
         """
         def _compute() -> tuple[set[int], list[tuple[int, int]]]:
             with obs.span("exceptions", artifact="fde"):
                 sec = self.elf.section(C.SECTION_EH_FRAME)
                 if sec is None or not sec.data:
                     return set(), []
-                try:
-                    eh = parse_eh_frame(sec.data, sec.sh_addr,
-                                        self.elf.is64)
-                except EhFrameError:
+                except_sec = self.elf.section(C.SECTION_GCC_EXCEPT_TABLE)
+                eh, diagnostics = self._eh_frame(
+                    None if except_sec is None else "landing_pads")
+                if diagnostics.records:
                     return set(), []
                 starts = {fde.pc_begin for fde in eh.fdes}
                 ranges = [(fde.pc_begin, fde.pc_end) for fde in eh.fdes]
@@ -232,10 +268,8 @@ class AnalysisContext:
                 eh_sec = elf.section(C.SECTION_EH_FRAME)
                 if except_sec is None or eh_sec is None:
                     return set()
-                eh = parse_eh_frame(
-                    eh_sec.data, eh_sec.sh_addr, elf.is64,
-                    diagnostics=elf.diagnostics,
-                )
+                eh, diagnostics = self._eh_frame("fde")
+                elf.diagnostics.merge(diagnostics)
                 pads = landing_pads_from_exception_info(
                     eh, except_sec.data, except_sec.sh_addr, elf.is64,
                     diagnostics=elf.diagnostics,

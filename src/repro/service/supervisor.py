@@ -37,7 +37,9 @@ functions, plain-data payloads) — the same contract as any
 from __future__ import annotations
 
 import collections
+import os
 import queue
+import stat
 import threading
 import time
 from concurrent.futures import Executor, Future
@@ -116,6 +118,26 @@ def _apply_rss_limit(max_rss_mb: int) -> None:
         pass
 
 
+def _release_inherited_sockets(keep: int) -> None:
+    """Drop every socket a forked worker inherited except ``keep``: a
+    client connection held open here would never reach EOF. Each one
+    is pointed at ``/dev/null`` rather than closed, so a copied socket
+    object can never close an unrelated file that reused its number."""
+    try:
+        fds = [int(name) for name in os.listdir("/dev/fd")]
+    except OSError:  # no per-process descriptor listing on this host
+        return
+    devnull = os.open(os.devnull, os.O_RDWR)
+    for fd in fds:
+        try:
+            if fd not in (keep, devnull) \
+                    and stat.S_ISSOCK(os.fstat(fd).st_mode):
+                os.dup2(devnull, fd)
+        except OSError:  # the listing's own descriptor, closed since
+            pass
+    os.close(devnull)
+
+
 def _worker_main(conn, max_rss_mb: int | None,
                  heartbeat_interval: float) -> None:
     """Child-process loop: recv task, run it on the main thread, reply.
@@ -125,6 +147,7 @@ def _worker_main(conn, max_rss_mb: int | None,
     ``counters`` ships the child's obs counters back to the parent so
     ``/v1/metrics`` aggregates pipeline counters across workers.
     """
+    _release_inherited_sockets(conn.fileno())
     obs.set_recorder(obs.CounterRecorder())
     # Fault-plan ordinals are counted per process; a fresh worker
     # starts at zero so plans stay reproducible across respawns.

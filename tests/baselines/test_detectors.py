@@ -10,7 +10,7 @@ from repro.baselines import (
     IdaLikeDetector,
     NaiveEndbrDetector,
 )
-from repro.baselines.base import prologue_scan, recursive_traversal
+from repro.baselines.base import recursive_traversal
 from repro.elf.parser import ELFFile
 from repro.eval.metrics import score
 from repro.synth import CompilerProfile, generate_program, link_program
@@ -49,19 +49,6 @@ class TestTraversalHelpers:
         code = b"\xc3" + b"\xe8\x00\x00\x00\x00"  # ret; call (unreached)
         found = recursive_traversal(code, 0, 64, {0})
         assert found == {0}
-
-    def test_prologue_scan_finds_frame_setups(self):
-        code = bytearray(48)
-        code[0:4] = b"\x55\x48\x89\xe5"         # push rbp; mov rbp,rsp
-        code[16:24] = b"\xf3\x0f\x1e\xfa\x55\x48\x89\xe5"  # endbr + push
-        found = prologue_scan(bytes(code), 0x1000, 64)
-        assert 0x1000 in found
-        assert 0x1010 in found
-
-    def test_prologue_scan_respects_skip(self):
-        code = b"\x55\x48\x89\xe5" + b"\x90" * 12
-        found = prologue_scan(code, 0x1000, 64, skip={0x1000})
-        assert 0x1000 not in found
 
 
 class TestIdaLike:

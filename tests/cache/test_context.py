@@ -7,12 +7,18 @@ import random
 
 import pytest
 
-from repro.baselines import FetchLikeDetector, FunSeekerDetector
+from repro.baselines import (
+    ALL_DETECTORS,
+    FetchLikeDetector,
+    FunSeekerDetector,
+)
 from repro.baselines.base import fde_starts
 from repro.cache import SCHEMA_TAG, get_context
+from repro.cache import context as context_module
 from repro.core.funseeker import FunSeeker
 from repro.elf import constants as C
 from repro.elf.ehframe import EhFrameError, parse_eh_frame
+from repro.elf.lsda import landing_pads_from_exception_info
 from repro.elf.parser import ELFFile
 from repro.fuzz.mutators import mutate
 
@@ -40,6 +46,7 @@ class TestIdentityAndMemoization:
         assert ctx.landing_pads() is ctx.landing_pads()
         assert ctx.plt_map() is ctx.plt_map()
         assert ctx.cet_features() is ctx.cet_features()
+        assert ctx.prologue_hits() is ctx.prologue_hits()
 
     def test_no_text_section(self):
         # Minimal degraded image: no sections at all.
@@ -119,6 +126,60 @@ class TestStrictFdeSemantics:
             assert got == self._reference(elf)
             # Strict semantics: the FDE path records nothing.
             assert len(elf.diagnostics) == before
+
+
+class TestOneEhFrameParse:
+    """Both parse modes read one degraded parse per image."""
+
+    def test_parsed_once_per_image(self, sample_binary, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return parse_eh_frame(*args, **kwargs)
+
+        monkeypatch.setattr(context_module, "parse_eh_frame", counting)
+        elf = ELFFile(sample_binary.data)
+        assert elf.section(C.SECTION_GCC_EXCEPT_TABLE) is not None
+        for detector in ALL_DETECTORS.values():
+            detector()._detect(elf)
+        assert len(calls) == 1
+        # Both readers have it, so the parse is not held any longer.
+        assert "eh_frame" not in get_context(elf)._memo
+
+    @staticmethod
+    def _two_parses(data: bytes):
+        """Landing pads and diagnostics as two separate parses gave
+        them: the degraded parse recording straight onto the file."""
+        elf = ELFFile.degraded(data)
+        eh_sec = elf.section(C.SECTION_EH_FRAME)
+        except_sec = elf.section(C.SECTION_GCC_EXCEPT_TABLE)
+        eh = parse_eh_frame(eh_sec.data, eh_sec.sh_addr, elf.is64,
+                            diagnostics=elf.diagnostics)
+        pads = landing_pads_from_exception_info(
+            eh, except_sec.data, except_sec.sh_addr, elf.is64,
+            diagnostics=elf.diagnostics)
+        return pads, elf.diagnostics.records
+
+    @pytest.mark.parametrize("fde_first", [False, True])
+    def test_diagnostics_unchanged(self, sample_binary, fde_first):
+        rng = random.Random(19)
+        diagnosed = 0
+        for _ in range(12):
+            data = mutate("ehframe", sample_binary.data, rng).data
+            elf = ELFFile.degraded(data)
+            if elf.section(C.SECTION_EH_FRAME) is None \
+                    or elf.section(C.SECTION_GCC_EXCEPT_TABLE) is None:
+                continue
+            ctx = get_context(elf)
+            if fde_first:
+                ctx.fde_starts()
+            pads = ctx.landing_pads()
+            expected_pads, expected = self._two_parses(data)
+            assert pads == expected_pads
+            assert elf.diagnostics.records == expected
+            diagnosed += bool(expected)
+        assert diagnosed, "no mutant produced eh_frame diagnostics"
 
 
 class TestDiagnosticsDiscipline:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import base64
 import json
+import socket
 
 import pytest
 
@@ -193,3 +194,24 @@ def test_failed_job_reports_error(tmp_path, loopback):
     report = result["analysis"]["tools"]["fetch"]
     assert report["functions"] is None
     assert report["phase"] == "parse"
+
+
+@pytest.mark.service_smoke
+def test_response_reaches_eof_across_worker_fork(tmp_path, loopback,
+                                                 sample_image):
+    """A worker forked while a client connection is open must not keep
+    that socket: the client still reads its response to EOF."""
+    server = loopback(tmp_path / "run",
+                      manager_kwargs={"tools": ["funseeker"],
+                                      "isolation": "process"})
+    with socket.create_connection((server.host, server.port),
+                                  timeout=10) as held:
+        held.sendall(b"GET /v1/healthz HTTP/1.1\r\nHost: test\r\n")
+        # The first job forks the first worker while ``held`` is open.
+        _, _, doc = server.request("POST", "/v1/jobs", body=sample_image)
+        assert server.wait_result(doc["job"]["job_id"])["status"] == "done"
+        held.sendall(b"\r\n")
+        response = b""
+        while chunk := held.recv(65536):   # a held socket times out here
+            response += chunk
+    assert response.startswith(b"HTTP/1.1 200")
