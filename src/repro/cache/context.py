@@ -14,9 +14,11 @@ parallel runner's workers do the same within each job — the context
 crosses the fork boundary as a property of "one parse per job", not by
 pickling anything.
 
-Artifacts that serialize cleanly are additionally read through the
-content-addressed disk cache (:mod:`repro.cache.disk`) when one is
-configured. Two rules keep cached and uncached runs bit-identical:
+Artifacts that serialize cleanly are additionally read through a
+content-addressed disk cache (:mod:`repro.cache.disk`) when the context
+has one: the cache passed to the first :func:`get_context` call, else
+the process default. Two rules keep cached and uncached runs
+bit-identical:
 
 - a computation that *records new diagnostics* is never stored — a disk
   hit skips the parse that would have recorded them, so only
@@ -38,7 +40,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro import obs
 from repro.cache import serialize as S
-from repro.cache.disk import default_cache
+from repro.cache.disk import DiskCache, default_cache
 from repro.elf import constants as C
 from repro.elf.ehframe import EhFrame, parse_eh_frame
 from repro.elf.gnuproperty import CetFeatures, parse_cet_features
@@ -61,8 +63,10 @@ _MISS = object()
 class AnalysisContext:
     """Memoized analysis artifacts for one parsed binary."""
 
-    def __init__(self, elf: ELFFile) -> None:
+    def __init__(self, elf: ELFFile, cache: DiskCache | None) -> None:
         self.elf = elf
+        #: The disk cache this context reads and writes, or ``None``.
+        self.cache = cache
         self._memo: dict[str, Any] = {}
         self._hash: str | None = None
         #: Wall seconds spent computing (or loading) memoized artifacts.
@@ -110,13 +114,13 @@ class AnalysisContext:
         to_doc: Callable[[Any], dict],
         from_doc: Callable[[dict], Any],
     ) -> Any:
-        """Run ``compute`` through the disk cache when one is configured.
+        """Run ``compute`` through the context's disk cache, if any.
 
         A computation that records new diagnostics on the file's shared
         collector is served but not stored: a later disk hit would skip
         the recording, making cached runs observably different.
         """
-        cache = default_cache()
+        cache = self.cache
         if cache is not None:
             doc = cache.get(self.content_hash, artifact)
             if doc is not None:
@@ -321,7 +325,7 @@ class AnalysisContext:
         Deliberately *not* memoized in memory: within a process each
         ``detect`` call really runs (Table III's timing comparison —
         FETCH's expensive internals in particular — must stay
-        observable); only a configured disk cache short-circuits it.
+        observable); only the context's disk cache short-circuits it.
 
         ``use_disk=False`` skips the disk layer entirely — detectors
         whose declared cost is below the cache's own round-trip cost
@@ -329,19 +333,23 @@ class AnalysisContext:
         bypass is tallied on the cache's census counters.
         """
         if not use_disk:
-            cache = default_cache()
-            if cache is not None:
-                cache.note_bypass()
+            if self.cache is not None:
+                self.cache.note_bypass()
             return compute()
         return self._disk_backed(
             f"tool.{tool}", compute, S.addrs_to_doc, S.addrs_from_doc,
         )
 
 
-def get_context(elf: ELFFile) -> AnalysisContext:
-    """The (singleton) analysis context of a parsed file."""
+def get_context(elf: ELFFile, cache: Any = _MISS) -> AnalysisContext:
+    """The (singleton) analysis context of a parsed file.
+
+    The call that creates it fixes its disk cache: ``cache`` when given
+    (``None`` for no disk layer), else the process default.
+    """
     ctx = getattr(elf, _ATTR, None)
     if ctx is None:
-        ctx = AnalysisContext(elf)
+        ctx = AnalysisContext(
+            elf, default_cache() if cache is _MISS else cache)
         setattr(elf, _ATTR, ctx)
     return ctx

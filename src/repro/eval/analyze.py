@@ -1,38 +1,47 @@
-"""Library-clean single-image analysis: bytes in, entry report out.
+"""The one cell loop, and library-clean single-image analysis.
 
-The evaluation runners (:mod:`repro.eval.runner`,
-:mod:`repro.eval.parallel`) are corpus-shaped: they want ground truth,
-provenance profiles, and a journal. The analysis *service*
-(:mod:`repro.service`) wants none of that — it is handed an untrusted
-binary image and must produce the per-tool entry sets, with explicit
-cache attribution, against a caller-supplied (per-tenant)
-:class:`~repro.cache.disk.DiskCache` rather than the process-global
-default. :func:`analyze_image` is that callable: no globals mutated, no
-ground truth required, safe to run from any executor.
+:func:`image_cells` is the only place an image is parsed and each
+detector run on it. It owns the parse and detect cells, the
+``cell.execute`` fault guard, the ``enforced`` flag and the failure
+taxonomy. The serial and parallel runners, :func:`analyze_image` (the
+service's job body), the scan ladder and quarantine replay are thin
+adapters over it, so one image gets the same entry sets and failure
+kinds whichever way it runs. Each passes in the disk cache the image's
+analysis context uses: ``evaluate`` the process default, the others
+none.
 
-Cache semantics: artifacts live under the same ``tool.<name>`` keys the
-evaluation sweeps use, so a cache warmed by ``funseeker evaluate`` (or
-by a previous job) serves lookups here and vice versa. A submission
+:func:`analyze_image` takes an untrusted image and a caller-supplied
+(per-tenant) :class:`~repro.cache.disk.DiskCache`: no globals read or
+mutated, no ground truth required, safe to run from any executor. Its
+own ``tool.<name>`` layer is a job's only cache traffic, under the keys
+the evaluation sweeps use, so a cache warmed by ``funseeker evaluate``
+(or by a previous job) serves lookups here and vice versa. A submission
 whose requested tools are all cacheable and all present is served
-entirely from disk — the binary is never parsed, never decoded
-(:func:`warm_lookup`). The no-new-diagnostics store guard from
-:mod:`repro.cache.context` applies on the way in.
+entirely from disk, without a parse (:func:`warm_lookup`). The
+no-new-diagnostics store guard from :mod:`repro.cache.context` applies
+on the way in.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterator, Mapping
+from contextlib import nullcontext
+from dataclasses import dataclass, field, replace
+from typing import Any
 
 from repro import faults, obs
 from repro.baselines import ALL_DETECTORS
 from repro.cache import serialize as S
-from repro.cache.disk import DiskCache, default_cache
+from repro.cache.context import get_context
+from repro.cache.disk import DiskCache
 from repro.elf.parser import ELFFile
+from repro.eval.breaker import CIRCUIT_OPEN, PHASE_BREAKER
 from repro.eval.isolation import (
     PHASE_DETECT,
     PHASE_PARSE,
+    FailureRecord,
     run_cell,
     watchdog_armable,
 )
@@ -158,6 +167,23 @@ def _is_cacheable(tool: str) -> bool:
     return bool(getattr(cls, "cacheable", False))
 
 
+def _cached_report(
+    sha256: str, tool: str, cache: DiskCache | None,
+) -> ToolReport | None:
+    """The cache hit for one tool, or ``None``."""
+    if cache is None or not _is_cacheable(tool):
+        return None
+    doc = cache.get(sha256, _tool_artifact(tool))
+    if doc is None:
+        return None
+    try:
+        functions = S.addrs_from_doc(doc)
+    except S.SerializationError:
+        return None
+    return ToolReport(tool=tool, functions=tuple(sorted(functions)),
+                      cache=CACHE_HIT)
+
+
 def warm_lookup(
     sha256: str,
     size_bytes: int,
@@ -175,24 +201,115 @@ def warm_lookup(
         return None
     reports: dict[str, ToolReport] = {}
     for name in tools:
-        if not _is_cacheable(name):
+        report = _cached_report(sha256, name, cache)
+        if report is None:
             return None
-        doc = cache.get(sha256, _tool_artifact(name))
-        if doc is None:
-            return None
-        try:
-            functions = S.addrs_from_doc(doc)
-        except S.SerializationError:
-            return None
-        reports[name] = ToolReport(
-            tool=name,
-            functions=tuple(sorted(functions)),
-            cache=CACHE_HIT,
-        )
+        reports[name] = report
     obs.add("analyze.warm_lookups", 1)
     return ImageAnalysis(
         sha256=sha256, size_bytes=size_bytes, tools=reports, warm=True,
     )
+
+
+# ---------------------------------------------------------------------------
+# The cell loop
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Cell:
+    """One cell's outcome, as :func:`image_cells` yields it."""
+
+    #: The detector, or ``None`` for the image's parse cell.
+    tool: str | None
+    phase: str
+    #: The parsed file (parse cell) or the tool's ``DetectionResult``.
+    value: Any = None
+    error_type: str | None = None
+    message: str | None = None
+    attempts: int = 1
+    elapsed_seconds: float = 0.0
+    #: Whether a requested deadline could be armed for this cell.
+    enforced: bool = True
+    #: :func:`repro.obs.mark` taken just before the cell ran.
+    mark: int = 0
+
+    @property
+    def ok(self) -> bool:
+        return self.error_type is None
+
+    def failure(self, provenance: dict) -> FailureRecord:
+        """This failed cell as a corpus :class:`FailureRecord`."""
+        return FailureRecord(
+            **provenance, tool=self.tool, phase=self.phase,
+            error_type=self.error_type, message=self.message,
+            attempts=self.attempts, elapsed_seconds=self.elapsed_seconds,
+            enforced=self.enforced,
+        )
+
+
+def circuit_open(tool: str) -> Cell:
+    """The cell of a tool whose circuit breaker refused to run it."""
+    return Cell(tool, PHASE_BREAKER, error_type=CIRCUIT_OPEN,
+                message=f"circuit open for tool {tool!r}: cell skipped",
+                attempts=0)
+
+
+def image_cells(
+    data: Any,
+    detectors: Mapping[str, Any],
+    *,
+    cache: DiskCache | None,
+    parse: Callable[[Any], ELFFile] = ELFFile,
+    timeout: float | None = None,
+    retries: int = 0,
+    backoff: float = 0.0,
+    allow: Callable[[str], bool] | None = None,
+) -> Iterator[Cell]:
+    """Parse ``data`` once, then run each detector on the parsed file.
+
+    Yields the parse cell first (``tool=None``, ``value`` the parsed
+    file). A failed parse then yields one parse-phase failure per
+    detector and stops; otherwise each detector's detect cell is
+    yielded as soon as it finishes, so the caller acts on one cell
+    before the next runs. A tool that ``allow`` refuses yields
+    :func:`circuit_open` instead of running.
+
+    Every cell runs under :func:`~repro.eval.isolation.run_cell`
+    (``timeout``/``retries``/``backoff``) behind the ``cell.execute``
+    fault point. ``cache`` is the disk cache the parsed file's analysis
+    context reads and writes (``None`` for none); an image's stores are
+    batched into one flush.
+    """
+    # A deadline requested off the main thread cannot be armed: say so
+    # on every cell rather than claim a deadline that never existed.
+    enforced = timeout is None or timeout <= 0 or watchdog_armable()
+
+    def run(tool: str | None, phase: str, body: Callable[[], Any]) -> Cell:
+        mark = obs.mark()
+        value, error, attempts, elapsed = run_cell(
+            faults.guarded(faults.SITE_CELL_EXECUTE, body),
+            timeout=timeout, retries=retries, backoff=backoff)
+        if error is not None:
+            return Cell(tool, phase, None, type(error).__name__, str(error),
+                        attempts, elapsed, enforced, mark)
+        return Cell(tool, phase, value, None, None, attempts, elapsed,
+                    enforced, mark)
+
+    parsed = run(None, PHASE_PARSE, lambda: parse(data))
+    yield parsed
+    if not parsed.ok:
+        for name in detectors:
+            yield replace(parsed, tool=name)
+        return
+    elf = parsed.value
+    get_context(elf, cache)
+    with cache.batch() if cache is not None else nullcontext():
+        for name, detector in detectors.items():
+            if allow is not None and not allow(name):
+                yield circuit_open(name)
+            else:
+                yield run(name, PHASE_DETECT, lambda d=detector: d.detect(elf))
 
 
 def analyze_image(
@@ -200,22 +317,19 @@ def analyze_image(
     tools: list[str] | tuple[str, ...] | None = None,
     *,
     cache: DiskCache | None = None,
-    use_default_cache: bool = True,
     timeout: float | None = None,
     retries: int = 0,
     backoff: float = 0.0,
 ) -> ImageAnalysis:
     """Run the requested detectors over one binary image.
 
-    Parameters mirror the evaluation cells: each phase (parse, each
-    detect) runs under :func:`~repro.eval.isolation.run_cell` with the
-    same timeout/retry/taxonomy semantics and the same
-    ``cell.execute`` fault point, so the service inherits the entire
-    fault-injection and chaos story for free.
+    The cells come from :func:`image_cells`, so the service inherits
+    the evaluation runners' timeout/retry/taxonomy semantics and their
+    fault-injection and chaos story.
 
     ``cache`` is the caller's :class:`DiskCache` (e.g. a per-tenant
-    namespace); when omitted and ``use_default_cache`` is true, the
-    process default (``$REPRO_CACHE_DIR``) applies. Failures never
+    namespace), or ``None`` for no caching; it holds only ``tool.*``
+    documents, and no other cache is read or written. Failures never
     raise: they land on the per-tool report, mirroring how the corpus
     runners degrade to :class:`FailureRecord`.
     """
@@ -226,102 +340,56 @@ def analyze_image(
     if unknown:
         raise ValueError(
             f"unknown tools {unknown} (known: {sorted(ALL_DETECTORS)})")
-    if cache is None and use_default_cache:
-        cache = default_cache()
     sha256 = content_digest(data)
-
-    warm = warm_lookup(sha256, len(data), tools, cache)
-    if warm is not None:
-        warm.elapsed_seconds = time.perf_counter() - started
-        return warm
-
+    reports = {name: _cached_report(sha256, name, cache) for name in tools}
     analysis = ImageAnalysis(sha256=sha256, size_bytes=len(data))
-    obs.add("analyze.cold_lookups", 1)
-    # Record on every report whether the requested deadline could be
-    # armed here: run_cell silently degrades off the main thread, and
-    # that fact must survive into the result document.
-    enforced = timeout is None or timeout <= 0 or watchdog_armable()
-    elf, error, attempts, elapsed = run_cell(
-        faults.guarded(faults.SITE_CELL_EXECUTE, lambda: ELFFile(data)),
-        timeout=timeout, retries=retries, backoff=backoff,
-    )
-    if error is not None:
-        for name in tools:
-            analysis.tools[name] = ToolReport(
-                tool=name, functions=None, elapsed_seconds=elapsed,
-                phase=PHASE_PARSE, error_type=type(error).__name__,
-                message=str(error), attempts=attempts,
-                enforced=enforced,
-            )
-        analysis.elapsed_seconds = time.perf_counter() - started
-        return analysis
-
-    for name in tools:
-        analysis.tools[name] = _run_tool(
-            elf, sha256, name, cache,
-            timeout=timeout, retries=retries, backoff=backoff,
-            enforced=enforced,
-        )
-    analysis.diagnostics = elf.diagnostics.to_dicts()
+    if tools and all(reports.values()):
+        obs.add("analyze.warm_lookups", 1)
+        analysis.warm = True
+    else:
+        obs.add("analyze.cold_lookups", 1)
+        todo = {name: ALL_DETECTORS[name]() for name in tools
+                if reports[name] is None}
+        cells = image_cells(data, todo, cache=None, timeout=timeout,
+                            retries=retries, backoff=backoff)
+        elf = next(cells).value
+        seen = len(elf.diagnostics) if elf is not None else 0
+        for cell in cells:
+            reports[cell.tool] = _tool_report(cell, cache)
+            if cell.phase != PHASE_DETECT:
+                continue
+            # Same bit-identity rule as the analysis context: a run
+            # that recorded new diagnostics is served but never stored.
+            before, seen = seen, len(elf.diagnostics)
+            if (cell.ok and reports[cell.tool].cache == CACHE_MISS
+                    and before == seen):
+                cache.put(sha256, _tool_artifact(cell.tool),
+                          S.addrs_to_doc(cell.value.functions))
+        if elf is not None:
+            analysis.diagnostics = elf.diagnostics.to_dicts()
+    analysis.tools = {name: reports[name] for name in tools}
     analysis.elapsed_seconds = time.perf_counter() - started
     return analysis
 
 
-def _run_tool(
-    elf: ELFFile,
-    sha256: str,
-    name: str,
-    cache: DiskCache | None,
-    *,
-    timeout: float | None,
-    retries: int,
-    backoff: float,
-    enforced: bool = True,
-) -> ToolReport:
-    cacheable = _is_cacheable(name)
-    if cacheable and cache is not None:
-        doc = cache.get(sha256, _tool_artifact(name))
-        if doc is not None:
-            try:
-                functions = S.addrs_from_doc(doc)
-            except S.SerializationError:
-                functions = None
-            if functions is not None:
-                return ToolReport(
-                    tool=name,
-                    functions=tuple(sorted(functions)),
-                    cache=CACHE_HIT,
-                )
-    detector = ALL_DETECTORS[name]()
-    before = len(elf.diagnostics)
-    result, error, attempts, elapsed = run_cell(
-        faults.guarded(faults.SITE_CELL_EXECUTE,
-                       lambda: detector.detect(elf)),
-        timeout=timeout, retries=retries, backoff=backoff,
-    )
-    if error is not None:
-        return ToolReport(
-            tool=name, functions=None, elapsed_seconds=elapsed,
-            cache=CACHE_MISS if cacheable else CACHE_UNCACHEABLE,
-            phase=PHASE_DETECT, error_type=type(error).__name__,
-            message=str(error), attempts=attempts, enforced=enforced,
-        )
-    if not cacheable:
+def _tool_report(cell: Cell, cache: DiskCache | None) -> ToolReport:
+    """One cold cell as a :class:`ToolReport`, with its cache state."""
+    if cell.phase == PHASE_DETECT and not _is_cacheable(cell.tool):
         state = CACHE_UNCACHEABLE
-    elif cache is None:
+    elif cell.ok and cache is None:
         state = CACHE_DISABLED
     else:
         state = CACHE_MISS
-        # Same bit-identity rule as the analysis context: a run that
-        # recorded new diagnostics is served but never stored.
-        if len(elf.diagnostics) == before:
-            cache.put(sha256, _tool_artifact(name),
-                      S.addrs_to_doc(result.functions))
+    if not cell.ok:
+        return ToolReport(
+            tool=cell.tool, functions=None,
+            elapsed_seconds=cell.elapsed_seconds, cache=state,
+            phase=cell.phase, error_type=cell.error_type,
+            message=cell.message, attempts=cell.attempts,
+            enforced=cell.enforced,
+        )
     return ToolReport(
-        tool=name,
-        functions=tuple(sorted(result.functions)),
-        elapsed_seconds=result.elapsed_seconds,
-        cache=state,
-        attempts=attempts,
-        enforced=enforced,
+        tool=cell.tool, functions=tuple(sorted(cell.value.functions)),
+        elapsed_seconds=cell.value.elapsed_seconds, cache=state,
+        attempts=cell.attempts, enforced=cell.enforced,
     )

@@ -55,27 +55,25 @@ from __future__ import annotations
 import multiprocessing
 import os
 from collections.abc import Iterable
-from contextlib import nullcontext
 from pathlib import Path
 
 from repro import faults, obs
 from repro.baselines import ALL_DETECTORS
 from repro.cache.disk import default_cache
 from repro.elf.parser import ELFFile
-from repro.errors import EvaluationAborted
 from repro.eval import shm
+from repro.eval.analyze import circuit_open
 from repro.eval.breaker import CircuitBreaker
 from repro.eval.dispatch import BoundedPoolDriver, shutdown_pool
-from repro.eval.isolation import (
-    PHASE_DETECT,
-    PHASE_PARSE,
-    PHASE_WORKER,
-    FailureRecord,
-    run_cell,
-    watchdog_armable,
+from repro.eval.isolation import PHASE_WORKER, FailureRecord
+from repro.eval.journal import entry_cell_key
+from repro.eval.runner import (
+    EvalReport,
+    RunRecord,
+    entry_provenance,
+    absorber,
+    entry_outcomes,
 )
-from repro.eval.metrics import score
-from repro.eval.runner import EvalReport, RunRecord, _breaker_failure
 from repro.synth.corpus import CorpusEntry
 
 #: Extra wall-clock (seconds) the parent grants a worker beyond the
@@ -140,40 +138,19 @@ def run_evaluation_parallel(
     skipped_cells = 0
     for entry in corpus:
         todo = [t for t in tool_names
-                if _entry_key(entry, t) not in completed]
+                if entry_cell_key(entry, t) not in completed]
         skipped_cells += len(tool_names) - len(todo)
         if todo:
             jobs.append(_job_payload(entry, todo))
     if skipped_cells:
         obs.add("eval.cells_skipped", skipped_cells)
     report = EvalReport()
+    absorb = absorber(report, keep_going=keep_going, journal=journal,
+                      breaker=breaker, quarantine=quarantine)
 
-    def _absorb(records: list[RunRecord],
-                failures: list[FailureRecord],
-                job: tuple | None = None) -> None:
-        if breaker is not None:
-            for record in records:
-                breaker.record_success(record.tool)
-            for failure in failures:
-                if failure.phase == PHASE_DETECT:
-                    breaker.record_failure(failure.tool)
-        report.records.extend(records)
-        report.failures.extend(failures)
-        if journal is not None:
-            for record in records:
-                journal.append_record(record)
-            for failure in failures:
-                journal.append_failure(failure)
-        if quarantine is not None and failures and job is not None:
-            stripped = _image_bytes(job[0])
-            for failure in failures:
-                quarantine.capture(stripped, failure)
-        if failures and not keep_going:
-            f = failures[0]
-            raise EvaluationAborted(
-                f"[{f.suite}/{f.program}/{f.tool}] {f.phase}: "
-                f"{f.error_type}: {f.message}"
-            )
+    def _absorb(items: list[RunRecord | FailureRecord], job: tuple) -> None:
+        for item in items:
+            absorb(item, lambda: _image_bytes(job[0]))
 
     def _breaker_filter(job: tuple) -> tuple | None:
         """Strip open-circuit tools from a job before dispatch."""
@@ -182,10 +159,8 @@ def run_evaluation_parallel(
         allowed, denied = [], []
         for name in job[-1]:
             (allowed if breaker.allow(name) else denied).append(name)
-        if denied:
-            prov = _job_provenance(job)
-            _absorb([], [_breaker_failure(prov, name) for name in denied],
-                    job)
+        _absorb([circuit_open(name).failure(job[2]) for name in denied],
+                job)
         if not allowed:
             return None
         return job[:-1] + (tuple(allowed),)
@@ -196,9 +171,8 @@ def run_evaluation_parallel(
             if job is None:
                 continue
             faults.hit(faults.SITE_WORKER_DISPATCH)
-            records, failures = _evaluate_job(job, timeout, retries,
-                                              trace_dir, backoff)
-            _absorb(records, failures, job)
+            _absorb(_evaluate_job(job, timeout, retries, trace_dir, backoff),
+                    job)
         return report
 
     # A worker enforces its own per-cell deadline; the parent-side
@@ -245,11 +219,10 @@ def run_evaluation_parallel(
              None if trace_dir is None else str(trace_dir), backoff))
 
     def _collect(job, result):
-        records, failures = result
-        _absorb(records, failures, job)
+        _absorb(result, job)
 
     def _lost(job, message):
-        _absorb([], _lost_worker_failures(job, message), job)
+        _absorb(_lost_worker_failures(job, message), job)
 
     try:
         try:
@@ -316,53 +289,26 @@ def _image_bytes(stripped) -> bytes:
     return stripped
 
 
-def _entry_key(entry: CorpusEntry, tool: str) -> tuple:
-    profile = entry.profile
-    return (entry.suite, entry.program, profile.compiler, profile.bits,
-            profile.pie, profile.opt, tool)
-
-
 def _job_payload(entry: CorpusEntry, tool_names: list[str]) -> tuple:
-    profile = entry.profile
     return (
         entry.stripped,
         frozenset(entry.binary.ground_truth.function_starts),
-        entry.suite,
-        entry.program,
-        profile.compiler,
-        profile.bits,
-        profile.pie,
-        profile.opt,
+        entry_provenance(entry),
         tuple(tool_names),
     )
 
 
-def _job_provenance(job: tuple) -> dict:
-    (_stripped, _gt, suite, program, compiler, bits, pie, opt,
-     _tool_names) = job
-    return {
-        "suite": suite,
-        "program": program,
-        "compiler": compiler,
-        "bits": bits,
-        "pie": pie,
-        "opt": opt,
-    }
-
-
 def _lost_worker_failures(job: tuple, message: str) -> list[FailureRecord]:
     """Failure records for every cell of a job whose worker was lost."""
-    prov = _job_provenance(job)
-    tool_names = job[-1]
     return [
         FailureRecord(
-            **prov,
+            **job[2],
             tool=name,
             phase=PHASE_WORKER,
             error_type="WorkerLost",
             message=message,
         )
-        for name in tool_names
+        for name in job[-1]
     ]
 
 
@@ -372,83 +318,24 @@ def _evaluate_job(
     retries: int = 0,
     trace_dir: str | None = None,
     backoff: float = 0.0,
-) -> tuple[list[RunRecord], list[FailureRecord]]:
+) -> list[RunRecord | FailureRecord]:
     """Evaluate one corpus entry; never raises.
 
     Runs in a pool worker (or in-process for ``workers=1``). Every
-    cell failure is returned as data so nothing propagates across the
-    process boundary as an exception.
+    cell outcome is returned as data, in cell order, so nothing
+    propagates across the process boundary as an exception.
     """
+    stripped, ground_truth, provenance, tool_names = job
     try:
-        return _evaluate_job_inner(job, timeout, retries, backoff)
+        # Resolving the image inside the guarded parse cell means a
+        # torn-down arena surfaces as an ordinary parse failure, not a
+        # worker crash.
+        return list(entry_outcomes(
+            stripped, ground_truth, provenance,
+            {name: ALL_DETECTORS[name]() for name in tool_names},
+            cache=default_cache(),
+            parse=lambda image: ELFFile(_image_bytes(image)),
+            timeout=timeout, retries=retries, backoff=backoff))
     finally:
         if trace_dir is not None:
             _flush_job_trace(trace_dir)
-
-
-def _evaluate_job_inner(
-    job: tuple, timeout: float | None, retries: int, backoff: float = 0.0
-) -> tuple[list[RunRecord], list[FailureRecord]]:
-    (stripped, gt, suite, program, compiler, bits, pie, opt,
-     tool_names) = job
-    prov = _job_provenance(job)
-    records: list[RunRecord] = []
-    failures: list[FailureRecord] = []
-    # As in the serial runner: a timeout requested where SIGALRM cannot
-    # be armed (workers=1 off the main thread) was never enforced.
-    enforced = timeout is None or timeout <= 0 or watchdog_armable()
-
-    def _fail(tool: str, phase: str, error: BaseException,
-              attempts: int, elapsed: float) -> None:
-        failures.append(FailureRecord(
-            **prov,
-            tool=tool,
-            phase=phase,
-            error_type=type(error).__name__,
-            message=str(error),
-            attempts=attempts,
-            elapsed_seconds=elapsed,
-            enforced=enforced,
-        ))
-
-    with obs.span("entry", suite=suite, program=program):
-        # Resolving inside the guarded cell means a torn-down arena
-        # surfaces as an ordinary parse failure, not a worker crash.
-        elf, error, attempts, elapsed = run_cell(
-            faults.guarded(faults.SITE_CELL_EXECUTE,
-                           lambda: ELFFile(_image_bytes(stripped))),
-            timeout=timeout, retries=retries, backoff=backoff)
-        if error is not None:
-            for name in tool_names:
-                _fail(name, PHASE_PARSE, error, attempts, elapsed)
-            return records, failures
-
-        gt_set = set(gt)
-        cache = default_cache()
-        with cache.batch() if cache is not None else nullcontext():
-            for name in tool_names:
-                cell_mark = obs.mark()
-                result, error, attempts, elapsed = run_cell(
-                    faults.guarded(
-                        faults.SITE_CELL_EXECUTE,
-                        lambda n=name: ALL_DETECTORS[n]().detect(elf)),
-                    timeout=timeout, retries=retries, backoff=backoff)
-                if error is not None:
-                    _fail(name, PHASE_DETECT, error, attempts, elapsed)
-                    continue
-                with obs.span("score", tool=name):
-                    confusion = score(gt_set, result.functions)
-                phases = obs.phase_totals(cell_mark) or None
-                records.append(RunRecord(
-                    suite=suite,
-                    program=program,
-                    compiler=compiler,
-                    bits=bits,
-                    pie=pie,
-                    opt=opt,
-                    tool=name,
-                    confusion=confusion,
-                    elapsed_seconds=result.own_seconds,
-                    phase_seconds=phases,
-                ))
-    return records, failures

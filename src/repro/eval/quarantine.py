@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro import obs
-from repro.eval.isolation import FailureRecord, run_cell
+from repro.eval.isolation import FailureRecord
 
 META_NAME = "meta.json"
 INPUT_NAME = "input.bin"
@@ -201,36 +201,37 @@ def replay_entry(
 ) -> list[ReplayOutcome]:
     """Re-run every captured failure of one entry under a watchdog.
 
-    Each distinct failing tool gets one parse + detect replay against
-    the stored bytes. ``reproduced`` means the replay failed again (in
+    The stored bytes go through the same cell loop as an evaluation
+    (:func:`~repro.eval.analyze.image_cells`, no disk cache): one
+    parse, then one detect cell per distinct failing tool. A tool name
+    that is no detector (a service job's joined tool set) replays as
+    the parse alone. ``reproduced`` means the replay failed again (in
     any phase) — the quarantined input still triggers *a* failure,
     though possibly a different one after a code change.
     """
     from repro.baselines import ALL_DETECTORS
-    from repro.elf.parser import ELFFile
+    from repro.eval.analyze import image_cells
 
-    data = entry.read_input()
-    outcomes = []
-    seen_tools: set[str] = set()
+    original: dict[str, str] = {}
     for meta in entry.failures:
-        tool = meta.get("tool", "?")
-        if tool in seen_tools:
-            continue
-        seen_tools.add(tool)
-
-        def _body(tool=tool):
-            elf = ELFFile(data)
-            if tool in ALL_DETECTORS:
-                ALL_DETECTORS[tool]().detect(elf)
-
-        _result, error, _attempts, elapsed = run_cell(_body, timeout=timeout)
+        original.setdefault(meta.get("tool", "?"), meta.get("error_type", "?"))
+    cells = image_cells(
+        entry.read_input(),
+        {tool: ALL_DETECTORS[tool]() for tool in original
+         if tool in ALL_DETECTORS},
+        cache=None, timeout=timeout)
+    parsed = next(cells)
+    decided = {cell.tool: cell for cell in cells}
+    outcomes = []
+    for tool, error_type in original.items():
+        cell = decided.get(tool, parsed)
         outcomes.append(ReplayOutcome(
             sha256=entry.sha256,
             tool=tool,
-            original_error=meta.get("error_type", "?"),
-            reproduced=error is not None,
-            error_type=type(error).__name__ if error is not None else None,
-            message=str(error) if error is not None else "ok",
-            elapsed_seconds=elapsed,
+            original_error=error_type,
+            reproduced=not cell.ok,
+            error_type=cell.error_type,
+            message=cell.message if not cell.ok else "ok",
+            elapsed_seconds=cell.elapsed_seconds,
         ))
     return outcomes

@@ -8,23 +8,16 @@ metadata.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-from contextlib import nullcontext
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
-from repro import faults, obs
+from repro import obs
 from repro.baselines.base import FunctionDetector
 from repro.cache.disk import default_cache
-from repro.elf.parser import ELFFile
 from repro.errors import EvaluationAborted
-from repro.eval.breaker import CIRCUIT_OPEN, PHASE_BREAKER, CircuitBreaker
-from repro.eval.isolation import (
-    PHASE_DETECT,
-    PHASE_PARSE,
-    FailureRecord,
-    run_cell,
-    watchdog_armable,
-)
+from repro.eval.analyze import image_cells
+from repro.eval.breaker import PHASE_BREAKER, CircuitBreaker
+from repro.eval.isolation import PHASE_DETECT, FailureRecord
 from repro.eval.metrics import Confusion, score
 from repro.synth.corpus import CorpusEntry
 
@@ -107,7 +100,7 @@ class EvalReport:
         return len(self.records) / attempted
 
 
-def _provenance(entry: CorpusEntry) -> dict:
+def entry_provenance(entry: CorpusEntry) -> dict:
     profile = entry.profile
     return {
         "suite": entry.suite,
@@ -119,31 +112,78 @@ def _provenance(entry: CorpusEntry) -> dict:
     }
 
 
-def _failure(
-    prov: dict, tool: str, phase: str, error: BaseException,
-    attempts: int, elapsed: float, enforced: bool = True,
-) -> FailureRecord:
-    return FailureRecord(
-        **prov,
-        tool=tool,
-        phase=phase,
-        error_type=type(error).__name__,
-        message=str(error),
-        attempts=attempts,
-        elapsed_seconds=elapsed,
-        enforced=enforced,
-    )
+def entry_outcomes(
+    data,
+    ground_truth: set[int] | frozenset[int],
+    provenance: dict,
+    detectors: dict,
+    **cell_options,
+) -> Iterator[RunRecord | FailureRecord]:
+    """One corpus entry's cells as run and failure records, in order.
+
+    A scoring adapter over :func:`~repro.eval.analyze.image_cells`
+    (``cell_options`` are its keyword arguments), shared by the serial
+    runner and the parallel workers.
+    """
+    with obs.span("entry", suite=provenance["suite"],
+                  program=provenance["program"]):
+        for cell in image_cells(data, detectors, **cell_options):
+            if cell.tool is None:
+                continue
+            if not cell.ok:
+                yield cell.failure(provenance)
+                continue
+            result = cell.value
+            with obs.span("score", tool=cell.tool):
+                confusion = score(ground_truth, result.functions)
+            yield RunRecord(
+                **provenance,
+                tool=cell.tool,
+                confusion=confusion,
+                elapsed_seconds=result.own_seconds,
+                phase_seconds=obs.phase_totals(cell.mark) or None,
+            )
 
 
-def _breaker_failure(prov: dict, tool: str) -> FailureRecord:
-    return FailureRecord(
-        **prov,
-        tool=tool,
-        phase=PHASE_BREAKER,
-        error_type=CIRCUIT_OPEN,
-        message=f"circuit open for tool {tool!r}: cell skipped",
-        attempts=0,
-    )
+def absorber(
+    report: EvalReport,
+    *,
+    keep_going: bool = True,
+    journal=None,
+    breaker: CircuitBreaker | None = None,
+    quarantine=None,
+) -> Callable[[RunRecord | FailureRecord, Callable[[], bytes]], None]:
+    """The sweep-side sink for cell outcomes, one at a time.
+
+    Each outcome lands on ``report``, drives the ``breaker`` (detect
+    cells only), is journaled, and — for a failure that ran — captures
+    the input (``image()``) into ``quarantine``. Under fail-fast
+    (``keep_going=False``) the first failure raises
+    :class:`~repro.errors.EvaluationAborted`.
+    """
+    def absorb(item: RunRecord | FailureRecord,
+               image: Callable[[], bytes]) -> None:
+        if isinstance(item, RunRecord):
+            if breaker is not None:
+                breaker.record_success(item.tool)
+            report.records.append(item)
+            if journal is not None:
+                journal.append_record(item)
+            return
+        if breaker is not None and item.phase == PHASE_DETECT:
+            breaker.record_failure(item.tool)
+        report.failures.append(item)
+        if journal is not None:
+            journal.append_failure(item)
+        if quarantine is not None and item.phase != PHASE_BREAKER:
+            quarantine.capture(image(), item)
+        if not keep_going:
+            raise EvaluationAborted(
+                f"[{item.suite}/{item.program}/{item.tool}] "
+                f"{item.phase}: {item.error_type}: {item.message}"
+            )
+
+    return absorb
 
 
 def run_evaluation(
@@ -164,7 +204,8 @@ def run_evaluation(
     Each entry is parsed once and the same ``ELFFile`` is handed to
     every detector, so its analysis context (:mod:`repro.cache`) is
     shared: the sweep, exception metadata, and PLT map are computed by
-    whichever tool needs them first and reused by the rest.
+    whichever tool needs them first and reused by the rest. The context
+    reads and writes the process default disk cache.
 
     Each (binary, tool) cell runs in isolation: an exception or a
     blown ``timeout`` (seconds of wall clock, enforced via ``SIGALRM``
@@ -190,93 +231,25 @@ def run_evaluation(
       :class:`~repro.eval.quarantine.QuarantineStore`; failing inputs
       are captured for offline replay.
     """
+    from repro.eval.journal import entry_cell_key
+
     report = EvalReport()
     completed = completed or set()
-    # A timeout requested off the main thread cannot be armed; record
-    # that on every failure of this sweep instead of claiming a
-    # deadline that never existed.
-    enforced = timeout is None or timeout <= 0 or watchdog_armable()
-
-    def _record_failure(failure: FailureRecord,
-                        entry: CorpusEntry | None = None) -> None:
-        report.failures.append(failure)
-        if journal is not None:
-            journal.append_failure(failure)
-        if (quarantine is not None and entry is not None
-                and failure.phase != PHASE_BREAKER):
-            quarantine.capture(entry.stripped, failure)
-        if not keep_going:
-            raise EvaluationAborted(
-                f"[{failure.suite}/{failure.program}/{failure.tool}] "
-                f"{failure.phase}: {failure.error_type}: {failure.message}"
-            )
-
-    def _record_success(record: RunRecord) -> None:
-        report.records.append(record)
-        if journal is not None:
-            journal.append_record(record)
-
+    absorb = absorber(report, keep_going=keep_going, journal=journal,
+                      breaker=breaker, quarantine=quarantine)
     for entry in corpus:
-        prov = _provenance(entry)
-        key_prefix = tuple(prov[f] for f in
-                           ("suite", "program", "compiler", "bits", "pie",
-                            "opt"))
-        todo = [name for name in detectors
-                if key_prefix + (name,) not in completed]
+        todo = {name: detector for name, detector in detectors.items()
+                if entry_cell_key(entry, name) not in completed}
         if skipped := len(detectors) - len(todo):
             obs.add("eval.cells_skipped", skipped)
         if not todo:
             continue
-        with obs.span("entry", suite=entry.suite, program=entry.program):
-            elf, error, attempts, elapsed = run_cell(
-                faults.guarded(faults.SITE_CELL_EXECUTE,
-                               lambda: ELFFile(entry.stripped)),
+        for item in entry_outcomes(
+                entry.stripped, entry.binary.ground_truth.function_starts,
+                entry_provenance(entry), todo, cache=default_cache(),
                 timeout=timeout, retries=retries, backoff=backoff,
-            )
-            if error is not None:
-                # The parse serves every tool of this entry: fail each
-                # cell.
-                for tool_name in todo:
-                    _record_failure(_failure(
-                        prov, tool_name, PHASE_PARSE, error, attempts,
-                        elapsed, enforced), entry)
-                continue
-            gt = entry.binary.ground_truth.function_starts
-            # One store batch per binary: every artifact the tools
-            # produce for this entry lands in a single flush + one
-            # eviction check instead of a disk walk per store.
-            cache = default_cache()
-            with cache.batch() if cache is not None else nullcontext():
-                for tool_name in todo:
-                    detector = detectors[tool_name]
-                    if breaker is not None and not breaker.allow(tool_name):
-                        _record_failure(_breaker_failure(prov, tool_name))
-                        continue
-                    cell_mark = obs.mark()
-                    result, error, attempts, elapsed = run_cell(
-                        faults.guarded(faults.SITE_CELL_EXECUTE,
-                                       lambda d=detector: d.detect(elf)),
-                        timeout=timeout, retries=retries, backoff=backoff,
-                    )
-                    if error is not None:
-                        if breaker is not None:
-                            breaker.record_failure(tool_name)
-                        _record_failure(_failure(
-                            prov, tool_name, PHASE_DETECT, error, attempts,
-                            elapsed, enforced), entry)
-                        continue
-                    if breaker is not None:
-                        breaker.record_success(tool_name)
-                    with obs.span("score", tool=tool_name):
-                        confusion = score(gt, result.functions)
-                    phases = obs.phase_totals(cell_mark) or None
-                    _record_success(RunRecord(
-                        **prov,
-                        tool=tool_name,
-                        confusion=confusion,
-                        elapsed_seconds=result.own_seconds,
-                        phase_seconds=phases,
-                    ))
+                allow=None if breaker is None else breaker.allow):
+            absorb(item, lambda: entry.stripped)
     return report
 
 

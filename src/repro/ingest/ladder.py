@@ -14,6 +14,11 @@ uses (:func:`repro.eval.isolation.run_cell`):
 4. **detect** — each requested detector, independently guarded, with
    pairwise entry-set agreement computed over the tools that survived.
 
+The parse and detect rungs are the cells of
+:func:`repro.eval.analyze.image_cells`, the loop every analysis path
+shares, so they pass through the ``cell.execute`` fault point. The
+ladder gives the image's analysis context no disk cache.
+
 A rung that fails *downgrades* the outcome instead of failing the
 binary: the result is a :class:`BinaryOutcome` whose ``status`` is
 ``ok``, ``degraded:<diagnostic>``, or ``quarantined``, with an
@@ -55,7 +60,6 @@ class ToolOutcome:
     """One detector's rung on one binary."""
 
     functions: int | None = None
-    entries_sample: int = 0
     elapsed_seconds: float = 0.0
     error_type: str | None = None
     message: str | None = None
@@ -132,6 +136,7 @@ def analyze_binary(
     Raises :class:`LadderReadError` only when the image cannot be read
     at all; every later rung degrades instead of raising.
     """
+    from repro.eval.analyze import image_cells
     from repro.eval.isolation import run_cell
 
     started = time.perf_counter()
@@ -154,18 +159,21 @@ def analyze_binary(
         )
 
         # -- parse rung ---------------------------------------------------
-        elf, error, _attempts, _elapsed = run_cell(
-            lambda: ELFFile.degraded(data), timeout=timeout)
-        if error is not None:
+        cells = image_cells(
+            data, {name: ALL_DETECTORS[name]() for name in tool_names},
+            cache=None, parse=ELFFile.degraded, timeout=timeout)
+        parsed = next(cells)
+        if not parsed.ok:
             # Degraded parse never raises by contract; reaching here
             # means a watchdog or memory ceiling fired — the binary is
             # hostile enough to quarantine.
             outcome.status = STATUS_QUARANTINED
-            outcome.error_type = type(error).__name__
-            outcome.error_message = str(error)
+            outcome.error_type = parsed.error_type
+            outcome.error_message = parsed.message
             outcome.elapsed_seconds = time.perf_counter() - started
             obs.add("ingest.analyze.quarantined", 1)
             return outcome
+        elf = parsed.value
 
         # -- cet rung -----------------------------------------------------
         cet_error = None
@@ -182,19 +190,14 @@ def analyze_binary(
 
         # -- detect rung --------------------------------------------------
         entry_sets: dict[str, frozenset[int]] = {}
-        for name in tool_names:
-            tool = ToolOutcome()
-            result, error, _attempts, elapsed = run_cell(
-                lambda n=name: ALL_DETECTORS[n]().detect(elf),
-                timeout=timeout)
-            tool.elapsed_seconds = elapsed
-            if error is not None:
-                tool.error_type = type(error).__name__
-                tool.message = str(error)
-            else:
-                tool.functions = len(result.functions)
-                entry_sets[name] = frozenset(result.functions)
-            outcome.tools[name] = tool
+        for cell in cells:
+            outcome.tools[cell.tool] = ToolOutcome(
+                elapsed_seconds=cell.elapsed_seconds,
+                error_type=cell.error_type, message=cell.message)
+            if cell.ok:
+                functions = cell.value.functions
+                outcome.tools[cell.tool].functions = len(functions)
+                entry_sets[cell.tool] = frozenset(functions)
         outcome.agreement = pairwise_agreement(entry_sets)
         outcome.diagnostics = len(elf.diagnostics)
         outcome.worst_severity = _worst_severity(elf.diagnostics)

@@ -57,7 +57,12 @@ from pathlib import Path
 
 from repro import faults, obs
 from repro.baselines import ALL_DETECTORS
-from repro.cache.disk import DiskCache, namespaced_cache, valid_namespace
+from repro.cache.disk import (
+    DiskCache,
+    default_cache,
+    namespaced_cache,
+    valid_namespace,
+)
 from repro.errors import (
     JournalWriteError,
     ManifestCorruptError,
@@ -117,9 +122,10 @@ def execute_payload(payload: dict) -> ImageAnalysis:
     :class:`~repro.service.supervisor.SupervisedExecutor` ships to its
     worker subprocesses (thread executors call it too, so both
     isolation modes execute identical code). The payload carries either
-    a shared-memory ``ref`` or a blob ``path``, plus the cache
-    coordinates — ``cache`` (a live :class:`DiskCache`, thread mode
-    only) or ``cache_root``/``tenant`` to attach per-process.
+    a shared-memory ``ref`` or a blob ``path``, plus the job's cache —
+    ``cache`` (a live :class:`DiskCache`, thread mode only) or the
+    ``cache_root`` directory to attach per-process. Without either the
+    job runs uncached.
     """
     faults.hit(faults.SITE_BLOB_READ)
     ref = payload.get("ref")
@@ -130,12 +136,11 @@ def execute_payload(payload: dict) -> ImageAnalysis:
     cache = payload.get("cache")
     cache_root = payload.get("cache_root")
     if cache is None and cache_root is not None:
-        cache = namespaced_cache(Path(cache_root), payload["tenant"])
+        cache = DiskCache(Path(cache_root))
     return analyze_image(
         data,
         payload["tools"],
         cache=cache,
-        use_default_cache=payload.get("use_default_cache", False),
         timeout=payload.get("timeout"),
         retries=payload.get("retries", 0),
     )
@@ -506,8 +511,10 @@ class JobManager:
         return self._quarantine.entries()
 
     def cache_for(self, tenant: str) -> DiskCache | None:
+        """The tenant's cache namespace; the process default cache
+        (``$REPRO_CACHE_DIR``, if set) when there is no cache root."""
         if self.cache_root is None:
-            return None
+            return default_cache()
         cache = self._caches.get(tenant)
         if cache is None:
             cache = namespaced_cache(self.cache_root, tenant)
@@ -776,7 +783,6 @@ class JobManager:
         """Ship one job body to the executor and await the result."""
         payload: dict = {
             "tools": job.tools,
-            "tenant": job.tenant,
             "timeout": self.timeout,
             "retries": self.retries,
         }
@@ -785,17 +791,16 @@ class JobManager:
             payload["ref"] = ref
         else:
             payload["blob"] = str(self._blob_path(job.sha256))
+        cache = self.cache_for(job.tenant)
         if self.isolation == "process":
-            # Workers attach the per-tenant cache namespace in their
-            # own process; a live DiskCache handle is not shipped.
-            if self.cache_root is not None:
-                payload["cache_root"] = str(self.cache_root)
-            payload["use_default_cache"] = self.cache_root is None
+            # Workers attach the tenant's cache directory in their own
+            # process; a live DiskCache handle is not shipped.
+            if cache is not None:
+                payload["cache_root"] = str(cache.root)
             future = self._executor.submit_task(
                 execute_payload, payload, budget=self._budget(job))
         else:
-            payload["cache"] = self.cache_for(job.tenant)
-            payload["use_default_cache"] = self.cache_root is None
+            payload["cache"] = cache
             future = self._executor.submit(execute_payload, payload)
         return await asyncio.wrap_future(future)
 

@@ -22,8 +22,7 @@ TOOLS = ["funseeker", "fetch"]
 
 
 def test_analysis_matches_direct_detection(sample_binary):
-    analysis = analyze_image(sample_binary.data, TOOLS,
-                             use_default_cache=False)
+    analysis = analyze_image(sample_binary.data, TOOLS)
     assert analysis.ok
     assert analysis.sha256 == content_digest(sample_binary.data)
     assert not analysis.warm
@@ -71,8 +70,7 @@ def test_uncacheable_tool_blocks_warm_path(tmp_path, sample_binary,
 
 
 def test_parse_failure_lands_on_every_report():
-    analysis = analyze_image(b"certainly not an ELF image", TOOLS,
-                             use_default_cache=False)
+    analysis = analyze_image(b"certainly not an ELF image", TOOLS)
     assert not analysis.ok
     for name in TOOLS:
         report = analysis.tools[name]
@@ -83,12 +81,11 @@ def test_parse_failure_lands_on_every_report():
 
 def test_unknown_tool_is_a_value_error():
     with pytest.raises(ValueError, match="unknown tools"):
-        analyze_image(b"x", ["nonexistent"], use_default_cache=False)
+        analyze_image(b"x", ["nonexistent"])
 
 
 def test_doc_roundtrip(sample_binary):
-    analysis = analyze_image(sample_binary.data, TOOLS,
-                             use_default_cache=False)
+    analysis = analyze_image(sample_binary.data, TOOLS)
     from repro.eval.analyze import ImageAnalysis
 
     restored = ImageAnalysis.from_doc(analysis.to_doc())

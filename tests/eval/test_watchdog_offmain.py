@@ -62,8 +62,7 @@ def test_deadline_off_main_thread_runs_unenforced_but_counted(capsys):
 
 def test_analyze_off_main_thread_reports_unenforced(sample_binary):
     result = _in_thread(lambda: analyze_image(
-        sample_binary.data, ["funseeker"], timeout=30.0,
-        use_default_cache=False))
+        sample_binary.data, ["funseeker"], timeout=30.0))
     report = result.tools["funseeker"]
     assert report.ok
     assert report.enforced is False
@@ -71,7 +70,7 @@ def test_analyze_off_main_thread_reports_unenforced(sample_binary):
     assert doc["enforced"] is False
 
     on_main = analyze_image(sample_binary.data, ["funseeker"],
-                            timeout=30.0, use_default_cache=False)
+                            timeout=30.0)
     assert on_main.tools["funseeker"].enforced is True
 
 
@@ -79,6 +78,5 @@ def test_analyze_without_timeout_is_enforced_anywhere(sample_binary):
     # No deadline requested → nothing to enforce → enforced stays True
     # even off the main thread.
     result = _in_thread(lambda: analyze_image(
-        sample_binary.data, ["funseeker"], timeout=None,
-        use_default_cache=False))
+        sample_binary.data, ["funseeker"], timeout=None))
     assert result.tools["funseeker"].enforced is True
