@@ -18,6 +18,7 @@ import numpy as np
 
 from repro import obs
 from repro.cache.context import get_context
+from repro.core.funseeker import unsupported_machine
 from repro.elf import constants as C
 from repro.elf.parser import ELFFile
 from repro.x86.insn import TERMINATOR_CLASSES, InsnClass
@@ -76,7 +77,13 @@ class FunctionDetector(abc.ABC):
         configured) under the key ``(content hash, tool name)`` —
         unless the detector's declared cost is below the disk cache's
         own round-trip cost, in which case the store is bypassed.
+
+        Every detector decodes x86: a foreign ``e_machine`` raises
+        :class:`ValueError` here, before any analysis runs.
         """
+        unsupported = unsupported_machine(elf, self.name)
+        if unsupported is not None:
+            raise ValueError(unsupported)
         ctx = get_context(elf)
         shared_before = ctx.shared_seconds
         started = time.perf_counter()

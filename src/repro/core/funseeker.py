@@ -68,6 +68,19 @@ class FunSeekerResult:
     diagnostics: Diagnostics = field(default_factory=Diagnostics)
 
 
+def unsupported_machine(elf: ELFFile, tool: str = "FunSeeker") -> str | None:
+    """Why ``tool`` cannot analyse ``elf``, or ``None`` for an x86 image.
+
+    FunSeeker and every baseline decode ``.text`` as x86, so anything
+    else is refused rather than decoded into noise.
+    """
+    if elf.machine in (C.EM_386, C.EM_X86_64):
+        return None
+    return (f"{tool} targets x86/x86-64 binaries "
+            f"(e_machine={elf.machine}); for AArch64 use "
+            f"repro.arm.identify_functions_bti")
+
+
 class FunSeeker:
     """Function identification for one CET-enabled ELF binary.
 
@@ -85,13 +98,9 @@ class FunSeeker:
         *,
         strict: bool = True,
     ) -> None:
-        self._supported = elf.machine in (C.EM_386, C.EM_X86_64)
+        message = unsupported_machine(elf)
+        self._supported = message is None
         if not self._supported:
-            message = (
-                f"FunSeeker targets x86/x86-64 binaries "
-                f"(e_machine={elf.machine}); for AArch64 use "
-                f"repro.arm.identify_functions_bti"
-            )
             if strict:
                 raise ValueError(message)
             elf.diagnostics.record(

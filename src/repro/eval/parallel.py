@@ -18,24 +18,21 @@ Fault isolation mirrors the serial runner: each (binary, tool) cell is
 guarded in the worker (exceptions and ``timeout`` become
 :class:`~repro.eval.isolation.FailureRecord` entries), and the parent
 additionally guards against the worker itself dying — a crashed or
-wedged worker costs its own job a failure record, not the sweep.
-``multiprocessing.Pool`` respawns replacement workers, so the
+wedged worker costs its own job a failure record, not the sweep. Jobs
+run on the :class:`~repro.eval.supervisor.SupervisedExecutor`, which
+sees a dead worker at once, kills one that outlives its job's budget
+plus ``backstop_grace`` or stops heartbeating, and respawns it, so the
 remaining jobs still run. ``max_rss_mb`` arms an address-space rlimit
 in every worker, so a cell that balloons is killed by its own
 ``MemoryError`` (a permanent, non-retried failure record) instead of
 taking the host down.
 
-Jobs are dispatched **lazily** (a bounded window of in-flight handles)
-and collected **out of order** against per-job absolute deadlines
-armed at dispatch; the driving discipline lives in
-:class:`repro.eval.dispatch.BoundedPoolDriver`, which this runner
-shares with the fleet-scan ingest pipeline. One wedged worker costs
-the sweep roughly a single backstop beyond its useful work, never
-``jobs × backstop``, and an early loss never stalls the collection of
-already-finished later results. Lazy dispatch is also what gives the
-per-tool circuit ``breaker`` its teeth: cells of a tool whose circuit
-opened mid-sweep are skipped at dispatch time, before they can burn a
-worker's budget.
+Jobs are dispatched **lazily** through a bounded window and collected
+**out of order** (:meth:`SupervisedExecutor.imap_unordered`), so one
+lost worker never stalls the collection of already-finished later
+results. Lazy dispatch is also what gives the per-tool circuit
+``breaker`` its teeth: cells of a tool whose circuit opened mid-sweep
+are skipped at dispatch time, before they can burn a worker's budget.
 
 Crash-safety hooks run in the **parent**, which is the single writer:
 every absorbed cell outcome is appended (fsync'd) to the optional
@@ -52,7 +49,6 @@ counters to a per-worker JSONL part file after every job; the parent
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from collections.abc import Iterable
 from pathlib import Path
@@ -61,10 +57,10 @@ from repro import faults, obs
 from repro.baselines import ALL_DETECTORS
 from repro.cache.disk import default_cache
 from repro.elf.parser import ELFFile
+from repro.errors import WorkerLostError
 from repro.eval import shm
 from repro.eval.analyze import circuit_open
 from repro.eval.breaker import CircuitBreaker
-from repro.eval.dispatch import BoundedPoolDriver, shutdown_pool
 from repro.eval.isolation import PHASE_WORKER, FailureRecord
 from repro.eval.journal import entry_cell_key
 from repro.eval.runner import (
@@ -74,14 +70,8 @@ from repro.eval.runner import (
     absorber,
     entry_outcomes,
 )
+from repro.eval.supervisor import DEFAULT_BACKSTOP, SupervisedExecutor
 from repro.synth.corpus import CorpusEntry
-
-#: Extra wall-clock (seconds) the parent grants a worker beyond the
-#: per-cell budgets before declaring it lost.
-_BACKSTOP_GRACE = 30.0
-
-#: In-flight dispatch window, as a multiple of the pool size.
-_INFLIGHT_FACTOR = 2
 
 
 def run_evaluation_parallel(
@@ -99,10 +89,9 @@ def run_evaluation_parallel(
     breaker: CircuitBreaker | None = None,
     quarantine=None,
     max_rss_mb: int | None = None,
-    backstop_grace: float | None = None,
-    pool_factory=None,
+    backstop_grace: float = DEFAULT_BACKSTOP,
 ) -> EvalReport:
-    """Evaluate ``tool_names`` over ``corpus`` using a process pool.
+    """Evaluate ``tool_names`` over ``corpus`` on supervised workers.
 
     ``tool_names`` must be keys of
     :data:`repro.baselines.ALL_DETECTORS`. ``workers`` defaults to the
@@ -111,7 +100,7 @@ def run_evaluation_parallel(
 
     ``timeout`` bounds each (binary, tool) cell in wall-clock seconds
     (enforced inside the worker, with a parent-side backstop for
-    workers that die outright); ``retries`` re-runs transiently
+    workers that wedge); ``retries`` re-runs transiently
     failing cells with ``backoff``-based exponential delays. With
     ``keep_going=False`` the first failed cell aborts the sweep via
     :class:`~repro.errors.EvaluationAborted`. ``trace_dir`` (optional)
@@ -120,15 +109,10 @@ def run_evaluation_parallel(
 
     ``journal``/``completed``/``breaker``/``quarantine``/``max_rss_mb``
     are the crash-safety hooks described in the module docstring; all
-    default to off. ``backstop_grace`` tunes the parent-side lost-
-    worker grace period (tests and the chaos harness shrink it).
-
-    ``pool_factory`` injects the executor: any callable with the
-    ``multiprocessing.Pool(processes=, initializer=, initargs=)``
-    signature whose pools support ``apply_async``/``close``/``join``/
-    ``terminate``. Defaults to ``multiprocessing.Pool``; embedders (the
-    analysis service, tests) substitute instrumented or pre-warmed
-    pools without monkeypatching this module.
+    default to off. ``backstop_grace`` is the seconds a worker may run
+    past its job's budget before it is killed (tests and the chaos
+    harness shrink it); without a ``timeout`` there is no budget and no
+    backstop, only the heartbeat.
     """
     unknown = [t for t in tool_names if t not in ALL_DETECTORS]
     if unknown:
@@ -152,39 +136,33 @@ def run_evaluation_parallel(
         for item in items:
             absorb(item, lambda: _image_bytes(job[0]))
 
-    def _breaker_filter(job: tuple) -> tuple | None:
-        """Strip open-circuit tools from a job before dispatch."""
-        if breaker is None:
-            return job
-        allowed, denied = [], []
-        for name in job[-1]:
-            (allowed if breaker.allow(name) else denied).append(name)
-        _absorb([circuit_open(name).failure(job[2]) for name in denied],
-                job)
-        if not allowed:
-            return None
-        return job[:-1] + (tuple(allowed),)
+    def _dispatch(jobs):
+        """Strip open-circuit tools from each job as it is sent."""
+        for job in jobs:
+            if breaker is not None:
+                allowed, denied = [], []
+                for name in job[-1]:
+                    (allowed if breaker.allow(name) else denied).append(name)
+                _absorb([circuit_open(name).failure(job[2])
+                         for name in denied], job)
+                if not allowed:
+                    continue
+                job = job[:-1] + (tuple(allowed),)
+            faults.hit(faults.SITE_WORKER_DISPATCH)
+            yield job
 
     if workers == 1:
-        for job in jobs:
-            job = _breaker_filter(job)
-            if job is None:
-                continue
-            faults.hit(faults.SITE_WORKER_DISPATCH)
+        for job in _dispatch(jobs):
             _absorb(_evaluate_job(job, timeout, retries, trace_dir, backoff),
                     job)
         return report
 
-    # A worker enforces its own per-cell deadline; the parent-side
-    # backstop only has to catch workers that never report back at all
-    # (hard crash, uninterruptible hang).
-    if backstop_grace is None:
-        backstop_grace = _BACKSTOP_GRACE
-    backstop = None
+    # A worker enforces its own per-cell deadline; the supervisor's
+    # backstop only has to catch workers that never report back.
+    budget = None
     if timeout is not None:
         per_job_cells = len(tool_names) + 1  # + the shared parse
-        backstop = (timeout * (retries + 1) * per_job_cells
-                    + backstop_grace)
+        budget = timeout * (retries + 1) * per_job_cells
 
     # Ship images through a shared-memory arena instead of pickling
     # them into every dispatch: jobs carry a small ImageRef and workers
@@ -195,79 +173,34 @@ def run_evaluation_parallel(
         arena, refs = shm.share_images([job[0] for job in jobs])
         jobs = [(ref,) + job[1:] for job, ref in zip(jobs, refs)]
 
-    pool_size = workers or os.cpu_count() or 1
-    max_inflight = _INFLIGHT_FACTOR * pool_size + 2
-    if pool_factory is None:
-        pool_factory = multiprocessing.Pool
-    pool = pool_factory(
-        processes=workers,
-        initializer=_worker_init,
-        initargs=(None if trace_dir is None else str(trace_dir),
-                  max_rss_mb),
-    )
-    driver = BoundedPoolDriver(max_inflight=max_inflight,
-                               backstop=backstop)
-
-    def _submit(job):
-        job = _breaker_filter(job)
-        if job is None:
-            return None
-        faults.hit(faults.SITE_WORKER_DISPATCH)
-        return job, pool.apply_async(
-            _evaluate_job,
-            (job, timeout, retries,
-             None if trace_dir is None else str(trace_dir), backoff))
-
-    def _collect(job, result):
-        _absorb(result, job)
-
-    def _lost(job, message):
-        _absorb(_lost_worker_failures(job, message), job)
-
     try:
-        try:
-            driver.drive(jobs, _submit, _collect, _lost)
-        except BaseException:
-            # Abort path (--fail-fast, KeyboardInterrupt): drop the pool
-            # immediately, in-flight work included.
-            pool.terminate()
-            pool.join()
-            raise
-        shutdown_pool(pool, lost_worker=driver.any_lost)
+        with SupervisedExecutor(
+                workers or os.cpu_count() or 1,
+                backstop=None if budget is None else backstop_grace,
+                max_rss_mb=max_rss_mb) as pool:
+            for job, future in pool.imap_unordered(
+                    _supervised_job, _dispatch(jobs),
+                    timeout, retries,
+                    None if trace_dir is None else str(trace_dir), backoff,
+                    budget=budget):
+                try:
+                    result = future.result()
+                except WorkerLostError as exc:
+                    obs.add("eval.workers_lost", 1)
+                    result = _lost_worker_failures(job, str(exc))
+                _absorb(result, job)
     finally:
         if arena is not None:
             arena.destroy()
     return report
 
 
-def _worker_init(trace_dir: str | None, max_rss_mb: int | None) -> None:
-    """Pool-worker initializer: recorder, fault counters, RSS ceiling.
-
-    Workers must not inherit the parent recorder across ``fork`` —
-    spans the parent collected before the pool spawned would be
-    re-exported by every worker. Tracing runs get a fresh recorder;
-    otherwise the no-op default is (re)installed. Fault-point hit
-    counters restart at zero so a plan's ordinals are reproducible per
-    worker, and ``max_rss_mb`` arms an address-space rlimit so runaway
-    cells die by ``MemoryError`` inside their own isolation guard.
-    """
-    obs.set_recorder(obs.TraceRecorder() if trace_dir else None)
-    faults.reset_counts()
-    if max_rss_mb is not None:
-        _apply_rss_limit(max_rss_mb)
-
-
-def _apply_rss_limit(max_rss_mb: int) -> None:
-    """Best-effort address-space ceiling for the current process."""
-    try:
-        import resource
-    except ImportError:  # pragma: no cover — non-POSIX
-        return
-    limit = int(max_rss_mb) * 1024 * 1024
-    try:
-        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-    except (ValueError, OSError):  # pragma: no cover — platform quirk
-        pass
+def _supervised_job(job: tuple, timeout, retries, trace_dir, backoff):
+    """:func:`_evaluate_job` in a supervised worker, which starts with a
+    counters-only recorder: a tracing run records spans there too."""
+    if trace_dir is not None and not obs.enabled():
+        obs.set_recorder(obs.TraceRecorder())
+    return _evaluate_job(job, timeout, retries, trace_dir, backoff)
 
 
 def _flush_job_trace(trace_dir: str) -> None:

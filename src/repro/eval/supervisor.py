@@ -1,33 +1,33 @@
-"""Supervised worker-subprocess pool for the analysis service.
+"""Supervised worker-subprocess pool: the one process pool.
 
-The service's job bodies run untrusted binaries through the analysis
-pipeline. On a thread pool (the historical default) none of the
-isolation machinery actually bites: the ``SIGALRM`` cell watchdog only
-arms on a main thread, ``RLIMIT_AS`` is per-process, and a job that
-SIGKILLs or wedges its thread takes the whole server with it. This
-module is the executor that makes the guarantees real:
+``evaluate --workers N``, ``scan`` and the analysis service's job
+bodies all run untrusted binaries through the analysis pipeline on
+this executor. It makes the isolation guarantees real:
 
 - each worker is a **child process**; tasks run on the child's *main*
   thread, so :func:`repro.eval.isolation.deadline` arms for real, and
   an optional ``RLIMIT_AS`` ceiling turns runaway allocations into an
   in-band :class:`MemoryError`;
 - each worker slot is driven by a **supervisor thread** in the parent
-  that enforces a wall-clock **backstop** per task (budget + grace) and
-  a **heartbeat** (a frozen or SIGSTOPped child stops beating), killing
+  that sees a dead child at once (pipe EOF or ``is_alive()``) and
+  enforces a wall-clock **backstop** per task (budget + grace) and a
+  **heartbeat** (a frozen or SIGSTOPped child stops beating), killing
   and respawning the worker when either trips;
 - a lost worker fails the in-flight task with
-  :class:`~repro.errors.WorkerLostError` — *transient* by taxonomy, so
-  the job manager retries on the fresh worker and escalates to
-  poison-quarantine after repeated losses;
+  :class:`~repro.errors.WorkerLostError` — *transient* by taxonomy:
+  the service retries the job on the fresh worker and escalates to
+  poison-quarantine after repeated losses, the batch pipelines turn it
+  into a retryable ``WorkerLost`` record;
 - respawns after consecutive crashes back off exponentially
   (**crash-loop backoff**), so a poisoned queue cannot turn the parent
   into a fork bomb.
 
 The pool is a ``concurrent.futures.Executor``: it drops into
-``JobManager(executor=...)`` unchanged. The extra
-:meth:`SupervisedExecutor.submit_task` entry point carries a per-task
-wall-clock *budget* so the backstop can track the job's real deadline
-instead of a single global worst case.
+``JobManager(executor=...)`` unchanged. :meth:`SupervisedExecutor.submit_task`
+carries a per-task wall-clock *budget* so the backstop tracks the job's
+real deadline instead of a single global worst case, and
+:meth:`SupervisedExecutor.imap_unordered` streams a lazily pulled job
+iterator through a bounded window — the batch pipelines' driver.
 
 Task callables and their arguments must be picklable (module-level
 functions, plain-data payloads) — the same contract as any
@@ -37,15 +37,16 @@ functions, plain-data payloads) — the same contract as any
 from __future__ import annotations
 
 import collections
+import itertools
+import multiprocessing
 import os
 import queue
 import stat
 import threading
 import time
-from concurrent.futures import Executor, Future
+from collections.abc import Iterable, Iterator
+from concurrent.futures import FIRST_COMPLETED, Executor, Future, wait
 from dataclasses import dataclass
-
-import multiprocessing
 
 from repro import faults, obs
 from repro.errors import WorkerLostError
@@ -474,6 +475,38 @@ class SupervisedExecutor(Executor):
         self._tasks.put(_Task(fn, args, kwargs, future, budget))
         return future
 
+    def imap_unordered(self, fn, jobs: Iterable, /, *args,
+                       budget: float | None = None
+                       ) -> Iterator[tuple[object, Future]]:
+        """Run ``fn(job, *args)`` for each job; yield ``(job, future)``
+        in completion order.
+
+        ``jobs`` is pulled lazily and at most ``2 * slots + 2`` tasks
+        are outstanding, so a streaming job source (a directory walk)
+        only advances as workers free up and parent memory stays
+        bounded by the window. Every task carries the same ``budget``.
+        A yielded future is done: its ``result()`` returns the task's
+        value or raises (``WorkerLostError`` for a lost worker). Tasks
+        not yet started when the caller stops iterating are cancelled.
+        """
+        window = 2 * len(self._slots) + 2
+        job_iter = iter(jobs)
+        pending: dict[Future, object] = {}
+        try:
+            while True:
+                for job in itertools.islice(job_iter,
+                                            window - len(pending)):
+                    future = self.submit_task(fn, job, *args, budget=budget)
+                    pending[future] = job
+                if not pending:
+                    return
+                done, _ = wait(pending, return_when=FIRST_COMPLETED)
+                for future in done:
+                    yield pending.pop(future), future
+        finally:
+            for future in pending:
+                future.cancel()
+
     # -- lifecycle -----------------------------------------------------------
 
     def shutdown(self, wait: bool = True, *,
@@ -481,8 +514,8 @@ class SupervisedExecutor(Executor):
         """Idempotent teardown: kill children, stop supervisor threads.
 
         In-flight tasks fail with ``WorkerLostError(reason="shutdown")``
-        — their jobs were journaled at submit, so the next server on
-        the run directory re-runs them.
+        (the service journals its jobs at submit, so the next server on
+        the run directory re-runs them).
         """
         self._shutdown.set()
         if cancel_futures:

@@ -35,8 +35,8 @@ from repro.eval.journal import (
 )
 from repro.eval.parallel import run_evaluation_parallel
 
-#: Parent-side lost-worker grace used by chaos runs (the default 30s
-#: would dominate a smoke run's wall clock).
+#: Supervisor backstop grace used by chaos runs (the default 30 s
+#: would dominate a smoke run's wall clock if a worker wedged).
 CHAOS_BACKSTOP_GRACE = 2.0
 
 

@@ -17,7 +17,7 @@ vanishing while we look at it:
   results (``ok`` / ``degraded:<diag>`` / ``quarantined``) instead of
   failing;
 - :mod:`~repro.ingest.pipeline` — backpressure-aware dispatch onto the
-  shared bounded pool driver, journaling every decision crash-safely;
+  shared supervised worker pool, journaling every decision crash-safely;
 - :mod:`~repro.ingest.report` — the fleet report (CET adoption, triage
   and degradation histograms, per-tool agreement);
 - :mod:`~repro.ingest.chaos` — fault-injected scan scenarios proving

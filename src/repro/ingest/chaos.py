@@ -9,8 +9,8 @@ timing noise is normalized away, with **zero** unresolved failures —
 i.e. every crash-shaped record healed on resume.
 
 The two scenarios exercise the two ingest fault surfaces the walk
-itself cannot reach: ``ingest.analyze`` (inside pool workers, under the
-lost-worker backstop) and ``ingest.admit`` (in the parent, on the
+itself cannot reach: ``ingest.analyze`` (inside supervised workers,
+whose loss the parent sees at once) and ``ingest.admit`` (in the parent, on the
 transient-triage path).
 """
 

@@ -6,8 +6,8 @@ uses (:func:`repro.eval.isolation.run_cell`):
 
 1. **read** — load the image (the ``ingest.analyze`` fault point fires
    here, inside the watchdog, so an injected hang is caught by the
-   cell deadline and an injected kill is caught by the parent's
-   lost-worker backstop);
+   cell deadline and an injected kill is seen by the parent's
+   supervisor as a lost worker);
 2. **parse** — degraded-mode :class:`~repro.elf.parser.ELFFile`: every
    tolerated anomaly lands on the shared diagnostics collector;
 3. **cet** — the ``.note.gnu.property`` feature probe;

@@ -11,13 +11,13 @@ Division of labor:
   bytes per file) and is the journal's single writer. Every decision —
   a walk skip, a final triage call, a finished analysis, a retryable
   failure — is fsync'd to the scan journal the moment it is learned.
-- **Pool workers** run the degradation ladder (parse, CET probe,
-  detector sweep) under the shared watchdog/RSS machinery from
-  :mod:`repro.eval`.
-- The discover generator *is* the dispatch driver's job iterator, so
-  the walk only advances as in-flight slots free up: backpressure for
-  free, and parent memory bounded by the dispatch window instead of
-  the fleet size.
+- **Supervised workers** (:class:`repro.eval.supervisor.SupervisedExecutor`)
+  run the degradation ladder (parse, CET probe, detector sweep) under
+  the shared watchdog/RSS machinery from :mod:`repro.eval`.
+- The discover generator *is* the executor's lazily pulled job
+  iterator, so the walk only advances as in-flight slots free up:
+  backpressure for free, and parent memory bounded by the dispatch
+  window instead of the fleet size.
 
 A per-**directory** circuit breaker guards dispatch: a directory whose
 binaries keep killing workers (a hostile corpus dump, an NFS mount
@@ -37,17 +37,16 @@ identical to an uninterrupted run.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro import obs
+from repro.errors import WorkerLostError
 from repro.eval import shm
 from repro.eval.breaker import CIRCUIT_OPEN, CircuitBreaker
-from repro.eval.dispatch import BoundedPoolDriver, shutdown_pool
 from repro.eval.isolation import FailureRecord
-from repro.eval.parallel import _BACKSTOP_GRACE, _INFLIGHT_FACTOR, _worker_init
+from repro.eval.supervisor import DEFAULT_BACKSTOP, SupervisedExecutor
 from repro.ingest.admit import AdmissionPolicy, triage
 from repro.ingest.discover import Candidate, discover
 from repro.ingest.journal import (
@@ -106,7 +105,7 @@ def run_scan(
     max_rss_mb: int | None = None,
     limit: int | None = None,
     breaker: CircuitBreaker | None = None,
-    backstop_grace: float | None = None,
+    backstop_grace: float = DEFAULT_BACKSTOP,
     quarantine: bool = True,
 ) -> ScanResult:
     """Scan ``roots`` for binaries and journal every decision.
@@ -188,8 +187,8 @@ def _drive_scan(
     def _jobs():
         """Walk + triage, journaling inline; yields only ladder work.
 
-        Runs lazily under the dispatch driver, so the walk advances
-        only as in-flight slots free up.
+        Pulled lazily by the executor, so the walk advances only as
+        in-flight slots free up.
         """
         nonlocal admitted
         for event in discover(roots, include=include, exclude=exclude,
@@ -259,35 +258,21 @@ def _drive_scan(
                       "error_type": error_type, "message": message})
         breaker.record_failure(str(candidate.directory))
 
-    if workers == 1:
+    def _dispatch(preload):
+        """Breaker check and image preload, as each candidate is sent."""
         for candidate in _jobs():
-            dispatched = _breaker_gate(candidate, breaker, stats,
-                                       _record_failure)
-            if dispatched is None:
+            if not _breaker_gate(candidate, breaker, stats,
+                                 _record_failure):
                 continue
             stats.dispatched += 1
-            payload = _scan_job(str(candidate.path), tools, timeout,
-                                policy.max_size)
-            _absorb_payload(candidate, payload,
+            yield candidate, preload(candidate)
+
+    if workers == 1:
+        for job in _dispatch(lambda candidate: None):
+            _absorb_payload(job[0],
+                            _scan_job(job, tools, timeout, policy.max_size),
                             _record_analysis, _record_failure)
-        stats.lost_workers = 0
         return
-
-    if backstop_grace is None:
-        backstop_grace = _BACKSTOP_GRACE
-    backstop = None
-    if timeout is not None:
-        # read + parse + one cell per tool, then the parent's grace.
-        backstop = timeout * (len(tools) + 2) + backstop_grace
-
-    pool_size = workers or os.cpu_count() or 1
-    driver = BoundedPoolDriver(
-        max_inflight=_INFLIGHT_FACTOR * pool_size + 2, backstop=backstop)
-    pool = multiprocessing.Pool(
-        processes=workers,
-        initializer=_worker_init,
-        initargs=(None, max_rss_mb),
-    )
 
     # Per-candidate shared-memory preload: the parent reads the image
     # once and ships a small ref, so the job queue never carries whole
@@ -310,55 +295,46 @@ def _drive_scan(
         segments[str(candidate.path)] = arena
         return ref
 
-    def _release(candidate: Candidate) -> None:
-        arena = segments.pop(str(candidate.path), None)
-        if arena is not None:
-            arena.destroy()
-
-    def _submit(candidate: Candidate):
-        gated = _breaker_gate(candidate, breaker, stats, _record_failure)
-        if gated is None:
-            return None
-        stats.dispatched += 1
-        return candidate, pool.apply_async(
-            _scan_job,
-            (str(candidate.path), tools, timeout, policy.max_size,
-             _preload(candidate)))
-
-    def _collect(candidate: Candidate, payload: dict) -> None:
-        _release(candidate)
-        _absorb_payload(candidate, payload,
-                        _record_analysis, _record_failure)
-
-    def _lost(candidate: Candidate, message: str) -> None:
-        _release(candidate)
-        _record_failure(candidate, "WorkerLost", message)
-
+    # read + parse + one cell per tool. Without a timeout there is no
+    # budget and no backstop, only the heartbeat.
+    budget = None if timeout is None else timeout * (len(tools) + 2)
     try:
-        try:
-            driver.drive(_jobs(), _submit, _collect, _lost)
-        except BaseException:
-            pool.terminate()
-            pool.join()
-            raise
-        shutdown_pool(pool, lost_worker=driver.any_lost)
+        with SupervisedExecutor(
+                workers or os.cpu_count() or 1,
+                backstop=None if budget is None else backstop_grace,
+                max_rss_mb=max_rss_mb) as pool:
+            for (candidate, _ref), future in pool.imap_unordered(
+                    _scan_job, _dispatch(_preload), tools, timeout,
+                    policy.max_size, budget=budget):
+                arena = segments.pop(str(candidate.path), None)
+                if arena is not None:
+                    arena.destroy()
+                try:
+                    payload = future.result()
+                except WorkerLostError as exc:
+                    stats.lost_workers += 1
+                    obs.add("eval.workers_lost", 1)
+                    _record_failure(candidate, "WorkerLost", str(exc))
+                else:
+                    _absorb_payload(candidate, payload,
+                                    _record_analysis, _record_failure)
     finally:
         for arena in segments.values():
             arena.destroy()
         segments.clear()
-    stats.lost_workers = driver.lost_workers
 
 
 def _breaker_gate(candidate: Candidate, breaker: CircuitBreaker,
-                  stats: ScanStats, record_failure) -> Candidate | None:
-    """Refuse a candidate whose directory circuit is open."""
+                  stats: ScanStats, record_failure) -> bool:
+    """Whether ``candidate`` may be dispatched; one whose directory
+    circuit is open is refused and recorded as a failure."""
     directory = str(candidate.directory)
     if breaker.allow(directory):
-        return candidate
+        return True
     stats.breaker_skips += 1
     record_failure(candidate, CIRCUIT_OPEN,
                    f"directory circuit open: {directory}")
-    return None
+    return False
 
 
 def _absorb_payload(candidate: Candidate, payload: dict,
@@ -371,21 +347,23 @@ def _absorb_payload(candidate: Candidate, payload: dict,
         record_analysis(candidate, payload["outcome"])
 
 
-def _scan_job(path: str, tool_names: list[str],
+def _scan_job(job: tuple, tool_names: list[str],
               timeout: float | None = None,
-              max_size: int | None = None,
-              image_ref=None) -> dict:
+              max_size: int | None = None) -> dict:
     """Run one admitted binary down the ladder; never raises.
 
-    Runs in a pool worker (or in-process for ``workers=1``); everything
-    comes back as data, so nothing crosses the process boundary as an
-    exception — except a worker killed outright, which the parent's
-    backstop turns into a retryable ``WorkerLost`` record.
+    ``job`` is ``(candidate, image_ref)``. Runs in a supervised worker (or
+    in-process for ``workers=1``); everything comes back as data, so
+    nothing crosses the process boundary as an exception — except a
+    worker killed outright, which the parent turns into a retryable
+    ``WorkerLost`` record.
 
     ``image_ref`` (a :class:`repro.eval.shm.ImageRef`) carries the
     parent's preloaded image; when absent or unreadable, the worker
-    falls back to reading ``path`` itself.
+    falls back to reading the candidate's path itself.
     """
+    candidate, image_ref = job
+    path = str(candidate.path)
     data = None
     if image_ref is not None:
         try:

@@ -15,8 +15,9 @@ Layering:
 - :mod:`repro.service.jobs` — dedup, bounded queue, executor dispatch,
   poison-job quarantine, health state machine, journal-backed restart
   recovery.
-- :mod:`repro.service.supervisor` — the process-isolated executor:
-  supervised worker subprocesses with armed deadlines and RSS caps.
+- :class:`SupervisedExecutor` (from :mod:`repro.eval.supervisor`, the
+  repo's one process pool) — the process-isolated executor: supervised
+  worker subprocesses with armed deadlines and RSS caps.
 - :mod:`repro.service.receipts` — ``job-receipt/v1`` provenance.
 - :mod:`repro.service.ratelimit` — per-tenant token buckets.
 - :mod:`repro.service.metrics` — ``/v1/healthz`` + ``/v1/metrics``.
@@ -42,7 +43,7 @@ from repro.service.jobs import (
 )
 from repro.service.ratelimit import TenantRateLimiter, TokenBucket
 from repro.service.receipts import RECEIPT_SCHEMA, build_receipt
-from repro.service.supervisor import SupervisedExecutor, WorkerLostError
+from repro.eval.supervisor import SupervisedExecutor, WorkerLostError
 
 __all__ = [
     "AnalysisService",

@@ -8,9 +8,9 @@ are about *processes*. Four acceptance scenarios run against real
 - **service-kill-mid-job** — a thread-isolation server is SIGKILLed by
   an injected ``kill@cell.execute`` fault mid-analysis; a restart on
   the same run directory must reproduce the fault-free baseline
-  results exactly (journal replay + re-execution). The kill ordinal is
-  chosen so the first binary finishes (and is journaled) before the
-  fault fires during the second binary's parse.
+  results exactly (journal replay + re-execution). The kill fires on
+  the run's last cell, so every submission was accepted first and one
+  job is still unfinished.
 - **service-hang-backstop** — under process isolation with *no*
   per-cell timeout, an injected hang wedges a worker; the supervisor's
   ``--backstop`` must kill and respawn it, the job must complete on
@@ -289,10 +289,12 @@ def run_service_chaos(
         handle.terminate()
     report.baseline_jobs = len(baseline)
 
-    # Fire during the second binary's parse: binary 1 (1 parse +
-    # len(tools) detects) completes and is journaled first. Thread
-    # isolation on purpose: the kill must take the *server* down.
-    ordinal = len(tools) + 2
+    # Fire on the last of the run's cells (one parse + len(tools)
+    # detects per binary): it can only execute once every submission
+    # was accepted, and its job is still unfinished when the server
+    # dies. Thread isolation on purpose: the kill must take the
+    # *server* down.
+    ordinal = len(images) * (len(tools) + 1)
     plan = f"kill@cell.execute#{ordinal}"
     report.results.append(_run_kill_scenario(
         work_dir / "kill", images, tools, plan, baseline))

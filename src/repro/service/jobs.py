@@ -29,7 +29,7 @@ instead of re-reading blobs; the arena is destroyed when the batch
 drains (and by the creator-side atexit guard on abnormal exit).
 
 Execution isolation (``isolation="process"``) swaps the thread pool
-for a :class:`~repro.service.supervisor.SupervisedExecutor`: jobs run
+for a :class:`~repro.eval.supervisor.SupervisedExecutor`: jobs run
 in supervised child processes where the ``SIGALRM`` deadline and
 ``RLIMIT_AS`` ceiling actually arm, and a job that kills or wedges its
 worker is retried on a fresh worker until ``poison_threshold`` losses,
@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import asyncio
 import errno
+import functools
 import hashlib
 import json
 import os
@@ -81,13 +82,13 @@ from repro.eval.analyze import (
 )
 from repro.eval.journal import JournalFile, read_journal_lines
 from repro.eval.quarantine import QuarantineStore
-from repro.obs import log
-from repro.service.receipts import build_receipt
-from repro.service.supervisor import (
+from repro.eval.supervisor import (
     DEFAULT_BACKSTOP,
     REASON_SHUTDOWN,
     SupervisedExecutor,
 )
+from repro.obs import log
+from repro.service.receipts import build_receipt
 
 SERVICE_MANIFEST_SCHEMA = "service-manifest/v1"
 MANIFEST_NAME = "manifest.json"
@@ -119,13 +120,13 @@ def execute_payload(payload: dict) -> ImageAnalysis:
     """Run one job body from a plain-data payload.
 
     Module-level and pickle-clean on purpose: this is the function a
-    :class:`~repro.service.supervisor.SupervisedExecutor` ships to its
+    :class:`~repro.eval.supervisor.SupervisedExecutor` ships to its
     worker subprocesses (thread executors call it too, so both
     isolation modes execute identical code). The payload carries either
     a shared-memory ``ref`` or a blob ``path``, plus the job's cache —
     ``cache`` (a live :class:`DiskCache`, thread mode only) or the
-    ``cache_root`` directory to attach per-process. Without either the
-    job runs uncached.
+    ``cache_root`` directory, attached once per worker process. Without
+    either the job runs uncached.
     """
     faults.hit(faults.SITE_BLOB_READ)
     ref = payload.get("ref")
@@ -136,7 +137,7 @@ def execute_payload(payload: dict) -> ImageAnalysis:
     cache = payload.get("cache")
     cache_root = payload.get("cache_root")
     if cache is None and cache_root is not None:
-        cache = DiskCache(Path(cache_root))
+        cache = _process_cache(cache_root)
     return analyze_image(
         data,
         payload["tools"],
@@ -144,6 +145,14 @@ def execute_payload(payload: dict) -> ImageAnalysis:
         timeout=payload.get("timeout"),
         retries=payload.get("retries", 0),
     )
+
+
+@functools.lru_cache(maxsize=256)
+def _process_cache(root: str) -> DiskCache:
+    """This process's handle on one cache root: a worker pays the
+    eviction census (stale-tmp sweep + namespace glob) once per tenant,
+    not once per job."""
+    return DiskCache(Path(root))
 
 
 def _is_enospc(error: BaseException) -> bool:

@@ -1,6 +1,8 @@
 """Tests for the IDA-like, Ghidra-like, and naive detectors, plus the
 cross-tool orderings Table III reports."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.baselines import (
@@ -109,3 +111,15 @@ class TestCrossToolOrderings:
         a = det.detect_bytes(gcc_binary.data).functions
         b = det.detect(ELFFile(gcc_binary.data)).functions
         assert a == b
+
+
+FOREIGN_ARCH = (Path(__file__).resolve().parents[1] / "ingest" / "corpus"
+                / "foreign-arch.elf")
+
+
+@pytest.mark.parametrize("name", sorted(ALL_DETECTORS))
+def test_every_detector_refuses_a_foreign_architecture(name):
+    """The image parses strictly but is not x86: no tool decodes it."""
+    elf = ELFFile(FOREIGN_ARCH.read_bytes())
+    with pytest.raises(ValueError, match="targets x86/x86-64"):
+        ALL_DETECTORS[name]().detect(elf)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import pytest
 
+from repro import obs
 from repro.baselines import ALL_DETECTORS
 from repro.cache import DiskCache, reset_default_cache, set_default_cache
 from repro.cache.disk import ENV_CACHE_DIR
@@ -30,7 +31,12 @@ from repro.eval.parallel import run_evaluation_parallel
 from repro.eval.quarantine import QuarantineStore, replay_entry
 from repro.eval.runner import run_evaluation
 from repro.ingest.ladder import analyze_binary
-from repro.service.jobs import JOB_DONE, JOB_FAILED, JobManager
+from repro.service.jobs import (
+    JOB_DONE,
+    JOB_FAILED,
+    JobManager,
+    execute_payload,
+)
 
 TOOLS = tuple(ALL_DETECTORS)
 TOOL_DOCS = {f"tool.{name}" for name in TOOLS}
@@ -178,3 +184,23 @@ def test_scan_and_replay_touch_no_cache(tmp_path, sample_binary, default):
     [replayed] = replay_entry(entry, timeout=30.0)
     assert not replayed.reproduced
     assert default.touched == set()
+
+
+def test_process_jobs_share_one_handle_per_cache_root(tmp_path,
+                                                      tiny_corpus):
+    """Cold jobs on one cache root pay the eviction census once, not
+    once per job (``execute_payload`` as a worker process runs it)."""
+    root = tmp_path / "tenant"
+    previous = obs.set_recorder(obs.CounterRecorder())
+    try:
+        for i, entry in enumerate(tiny_corpus[:4]):
+            blob = tmp_path / f"blob-{i}"
+            blob.write_bytes(entry.stripped)
+            analysis = execute_payload({"blob": str(blob), "tools": TOOLS,
+                                        "cache_root": str(root)})
+            assert analysis.ok
+        counters = obs.recorder().drain()["counters"]
+    finally:
+        obs.set_recorder(previous)
+    assert counters["cache.stores"] >= 4
+    assert counters["cache.evict_scans"] == 1

@@ -1,5 +1,5 @@
 """Fault-path tests for the parallel runner: lost workers, retries,
-and pool shutdown discipline.
+worker traces and the fail-fast abort.
 
 The detectors injected here are registered into ``ALL_DETECTORS``
 before the pool spawns, so forked workers inherit them; they opt out of
@@ -21,7 +21,6 @@ import pytest
 from repro.baselines import ALL_DETECTORS
 from repro.baselines.base import FunctionDetector
 from repro.elf.parser import ELFFile
-from repro.eval import parallel as par
 from repro.eval.isolation import PHASE_DETECT, PHASE_WORKER
 from repro.eval.parallel import run_evaluation_parallel
 
@@ -71,56 +70,24 @@ def register_detectors(monkeypatch):
     monkeypatch.setitem(ALL_DETECTORS, "flaky", _FlakyDetector)
 
 
-@pytest.fixture()
-def pool_spy(monkeypatch):
-    """Record close/terminate/join calls on the runner's pool."""
-    calls: list[str] = []
-    real_pool = multiprocessing.Pool
-
-    class SpyPool:
-        def __init__(self, *args, **kwargs):
-            self._pool = real_pool(*args, **kwargs)
-
-        def apply_async(self, *args, **kwargs):
-            return self._pool.apply_async(*args, **kwargs)
-
-        def close(self):
-            calls.append("close")
-            self._pool.close()
-
-        def terminate(self):
-            calls.append("terminate")
-            self._pool.terminate()
-
-        def join(self):
-            calls.append("join")
-            self._pool.join()
-
-    monkeypatch.setattr(multiprocessing, "Pool", SpyPool)
-    return calls
-
-
 class TestLostWorker:
     def test_one_backstop_not_one_per_job(
-            self, tiny_corpus, register_detectors, monkeypatch, pool_spy):
-        """A wedged worker costs ~one backstop, and only its own job.
+            self, tiny_corpus, register_detectors):
+        """A worker that dies costs only its own job, and at once.
 
-        Five jobs, one marked: the marked job's worker dies without
-        reporting back, every other job completes normally, and the
-        sweep finishes roughly one backstop after the last useful work
-        — not ``jobs × backstop`` as head-of-line blocking would.
+        Five jobs, one marked: the marked job's worker exits without
+        reporting back and every other job completes normally. At the
+        default 30 s grace the sweep still finishes in seconds: the
+        dead worker is seen through its closed pipe, not by waiting
+        out the job's budget plus grace (~31.5 s here).
         """
-        monkeypatch.setattr(par, "_BACKSTOP_GRACE", 2.0)
         subset = list(tiny_corpus[:5])
         subset[2] = _mark_for_wedge(subset[2])
         tools = ["funseeker", "vanisher"]
-        # backstop = timeout * (retries+1) * (tools+1) + grace = 3.5s
         started = time.monotonic()
         report = run_evaluation_parallel(
             subset, tools, workers=2, timeout=0.5)
-        wall = time.monotonic() - started
-        backstop = 0.5 * 1 * (len(tools) + 1) + 2.0
-        assert wall < 3 * backstop  # vs ~5 backstops under head-of-line
+        assert time.monotonic() - started < 5.0
 
         # Only the marked job is lost — both of its cells, as worker
         # failures — and every other (binary, tool) cell has a record.
@@ -131,19 +98,14 @@ class TestLostWorker:
             assert failure.program == subset[2].program
         assert len(report.records) == (len(subset) - 1) * len(tools)
 
-        # A lost worker forces terminate(): join() would block forever
-        # on the wedged process.
-        assert "terminate" in pool_spy
-        assert "close" not in pool_spy
-
     def test_lost_worker_does_not_block_other_results(
-            self, tiny_corpus, register_detectors, monkeypatch):
+            self, tiny_corpus, register_detectors):
         """Results finishing after the wedge are still absorbed."""
-        monkeypatch.setattr(par, "_BACKSTOP_GRACE", 2.0)
         subset = list(tiny_corpus[:4])
         subset[0] = _mark_for_wedge(subset[0])  # first job wedges
         report = run_evaluation_parallel(
-            subset, ["vanisher"], workers=2, timeout=0.5)
+            subset, ["vanisher"], workers=2, timeout=0.5,
+            backstop_grace=2.0)
         assert len(report.records) == 3
         assert [f.program for f in report.failures] == [subset[0].program]
 
@@ -192,18 +154,13 @@ class TestWorkerTraces:
         assert not obs.enabled()
 
 
-class TestPoolShutdown:
-    def test_clean_run_closes_instead_of_terminating(
-            self, tiny_corpus, pool_spy):
-        run_evaluation_parallel(tiny_corpus[:3], ["funseeker"], workers=2)
-        assert pool_spy == ["close", "join"]
-
-    def test_abort_terminates(self, tiny_corpus, register_detectors,
-                              monkeypatch, tmp_path, pool_spy):
+class TestAbort:
+    def test_fail_fast_abort_leaves_no_worker(
+            self, tiny_corpus, register_detectors, monkeypatch, tmp_path):
         from repro.errors import EvaluationAborted
 
         monkeypatch.setenv(_FLAKY_DIR_ENV, str(tmp_path))
         with pytest.raises(EvaluationAborted):
             run_evaluation_parallel(
                 tiny_corpus[:3], ["flaky"], workers=2, keep_going=False)
-        assert pool_spy[0] == "terminate"
+        assert multiprocessing.active_children() == []

@@ -22,7 +22,7 @@ from repro.errors import (
     is_permanent_failure,
 )
 from repro.service.jobs import JOB_DONE, JOB_FAILED, JobManager
-from repro.service.supervisor import (
+from repro.eval.supervisor import (
     REASON_CRASH,
     REASON_DEADLINE,
     SupervisedExecutor,
@@ -68,6 +68,12 @@ def _die():
 
 def _hang():
     time.sleep(600)
+
+
+def _echo_or_die(value):
+    if value == 0:
+        os._exit(17)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +156,35 @@ def test_crash_loop_backoff_accounting():
         assert executor._slots[0].consecutive_losses == 0
     finally:
         executor.shutdown()
+
+
+def test_imap_unordered_pulls_jobs_lazily(pool):
+    """With one slot the window is 2 * 1 + 2 = 4: the job source has
+    yielded no more than that when the first result comes back."""
+    pulled = []
+
+    def jobs():
+        for i in range(50):
+            pulled.append(i)
+            yield i
+
+    results = pool.imap_unordered(_echo, jobs())
+    job, future = next(results)
+    assert len(pulled) <= 4
+    assert future.result() == job
+    rest = {job: future.result() for job, future in results}
+    assert rest == {i: i for i in range(50) if i != job}
+    assert len(pulled) == 50
+
+
+def test_imap_unordered_reports_a_lost_worker_per_job(pool):
+    outcomes = {}
+    for job, future in pool.imap_unordered(_echo_or_die, [1, 0, 2]):
+        try:
+            outcomes[job] = future.result()
+        except WorkerLostError:
+            outcomes[job] = "lost"
+    assert outcomes == {1: 1, 0: "lost", 2: 2}
 
 
 def test_submit_after_shutdown_is_rejected():
