@@ -400,6 +400,50 @@ def _configure_cache(cache_dir: str | None) -> None:
         set_default_cache(DiskCache(Path(cache_dir)))
 
 
+def _split_csv(text: str) -> list[str]:
+    return [t.strip() for t in text.split(",") if t.strip()]
+
+
+def _unknown_tools(tools) -> bool:
+    """Print an error naming unknown detectors; true if there were any."""
+    unknown = [t for t in tools or () if t not in ALL_DETECTORS]
+    if unknown:
+        print(f"error: unknown detectors: {unknown} "
+              f"(known: {sorted(ALL_DETECTORS)})", file=sys.stderr)
+    return bool(unknown)
+
+
+def _run_dir_failure(exc, work: str, run_dir) -> int:
+    """Print why a run directory failed ``work``; return the exit code.
+
+    A manifest for a different run, or a reused or missing run
+    directory, is a usage error (2). A damaged run directory is 3, and
+    so is a failed journal write: what was journaled is safe, and
+    ``--resume`` continues the run.
+    """
+    from repro.errors import (
+        JournalWriteError,
+        ManifestCorruptError,
+        ManifestMismatchError,
+    )
+
+    if isinstance(exc, ManifestMismatchError):
+        print(f"refusing to resume: {exc}", file=sys.stderr)
+        return 2
+    if isinstance(exc, ManifestCorruptError):
+        print(f"cannot resume: {exc}\n"
+              f"the run directory is damaged; start over with a fresh "
+              f"--run-dir", file=sys.stderr)
+        return 3
+    if isinstance(exc, JournalWriteError):
+        print(f"journal write failed, {work} aborted: {exc}\n"
+              f"journaled work is safe; continue with "
+              f"--resume {run_dir}", file=sys.stderr)
+        return 3
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
+
+
 def _cmd_cache(args) -> int:
     import json
     from pathlib import Path
@@ -420,13 +464,7 @@ def _cmd_evaluate(args) -> int:
     import tempfile
 
     from repro import faults, obs
-    from repro.errors import (
-        EvaluationAborted,
-        JournalError,
-        JournalWriteError,
-        ManifestCorruptError,
-        ManifestMismatchError,
-    )
+    from repro.errors import EvaluationAborted, JournalError
     from repro.eval.breaker import CircuitBreaker
     from repro.eval.export import report_to_csv, report_to_json
     from repro.eval.journal import (
@@ -445,7 +483,9 @@ def _cmd_evaluate(args) -> int:
         print("error: --run-dir starts a fresh journal, --resume "
               "continues one; pass exactly one of them", file=sys.stderr)
         return 2
-    tools = [t.strip() for t in args.tools.split(",") if t.strip()]
+    tools = _split_csv(args.tools)
+    if _unknown_tools(tools):
+        return 2
     _configure_cache(args.cache_dir)
     if args.fault_plan:
         faults.install(args.fault_plan)
@@ -476,17 +516,8 @@ def _cmd_evaluate(args) -> int:
                 build_manifest(corpus, tools, scale=args.scale,
                                seed=args.seed, timeout=args.timeout,
                                retries=args.retries))
-    except ManifestMismatchError as exc:
-        print(f"refusing to resume: {exc}", file=sys.stderr)
-        return 2
-    except ManifestCorruptError as exc:
-        print(f"cannot resume: {exc}\n"
-              f"the run directory is damaged; start over with a fresh "
-              f"--run-dir", file=sys.stderr)
-        return 3
     except JournalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _run_dir_failure(exc, "sweep", args.resume)
     breaker = None
     if args.breaker_threshold > 0:
         breaker = CircuitBreaker(threshold=args.breaker_threshold,
@@ -514,12 +545,8 @@ def _cmd_evaluate(args) -> int:
     except EvaluationAborted as exc:
         print(f"aborted (--fail-fast): {exc}", file=sys.stderr)
         return 2
-    except JournalWriteError as exc:
-        run_dir = args.resume or args.run_dir
-        print(f"journal write failed, sweep aborted: {exc}\n"
-              f"completed cells are safe; continue with "
-              f"--resume {run_dir}", file=sys.stderr)
-        return 3
+    except JournalError as exc:
+        return _run_dir_failure(exc, "sweep", args.resume or args.run_dir)
     finally:
         if journal is not None:
             journal.close()
@@ -551,15 +578,9 @@ def _cmd_scan(args) -> int:
     import tempfile
 
     from repro import faults
-    from repro.errors import (
-        JournalError,
-        JournalWriteError,
-        ManifestCorruptError,
-        ManifestMismatchError,
-    )
+    from repro.errors import JournalError
     from repro.eval.breaker import CircuitBreaker
     from repro.ingest import (
-        DEFAULT_SCAN_TOOLS,
         AdmissionPolicy,
         build_fleet_report,
         render_fleet_table,
@@ -574,13 +595,8 @@ def _cmd_scan(args) -> int:
         print("error: a fresh scan needs at least one root "
               "(or --resume RUN_DIR)", file=sys.stderr)
         return 2
-    tools = (None if args.tools is None
-             else [t.strip() for t in args.tools.split(",") if t.strip()])
-    unknown = [t for t in (tools or DEFAULT_SCAN_TOOLS)
-               if t not in ALL_DETECTORS]
-    if unknown:
-        print(f"error: unknown detectors: {unknown} "
-              f"(known: {sorted(ALL_DETECTORS)})", file=sys.stderr)
+    tools = None if args.tools is None else _split_csv(args.tools)
+    if _unknown_tools(tools):
         return 2
     policy = AdmissionPolicy()
     if args.min_size is not None or args.max_size is not None:
@@ -617,22 +633,11 @@ def _cmd_scan(args) -> int:
             breaker=breaker,
             quarantine=not args.no_quarantine,
         )
-    except ManifestMismatchError as exc:
-        print(f"refusing to resume: {exc}", file=sys.stderr)
-        return 2
-    except ManifestCorruptError as exc:
-        print(f"cannot resume: {exc}\n"
-              f"the run directory is damaged; start over with a fresh "
-              f"--run-dir", file=sys.stderr)
-        return 3
-    except (JournalError, ValueError) as exc:
+    except JournalError as exc:
+        return _run_dir_failure(exc, "scan", run_dir)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except JournalWriteError as exc:
-        print(f"journal write failed, scan aborted: {exc}\n"
-              f"decided paths are safe; continue with "
-              f"--resume {run_dir}", file=sys.stderr)
-        return 3
     finally:
         if args.fault_plan:
             faults.clear()
@@ -724,13 +729,9 @@ def _cmd_serve(args) -> int:
     from repro.errors import ManifestCorruptError, ManifestMismatchError
     from repro.service import AnalysisService, JobManager, TenantRateLimiter
 
-    tools = [t.strip() for t in args.tools.split(",") if t.strip()] or None
-    if tools:
-        unknown = [t for t in tools if t not in ALL_DETECTORS]
-        if unknown:
-            print(f"error: unknown detectors: {unknown} "
-                  f"(known: {sorted(ALL_DETECTORS)})", file=sys.stderr)
-            return 2
+    tools = _split_csv(args.tools) or None
+    if _unknown_tools(tools):
+        return 2
     # Counters only: a long-lived server must not accumulate spans.
     obs.set_recorder(obs.CounterRecorder())
     try:
@@ -748,13 +749,8 @@ def _cmd_serve(args) -> int:
             max_rss_mb=args.max_rss_mb,
             probe_interval=args.probe_interval,
         )
-    except ManifestCorruptError as exc:
-        print(f"cannot serve: {exc}\nthe run directory is damaged; "
-              f"start over with a fresh --run-dir", file=sys.stderr)
-        return 3
-    except ManifestMismatchError as exc:
-        print(f"cannot serve: {exc}", file=sys.stderr)
-        return 2
+    except (ManifestCorruptError, ManifestMismatchError) as exc:
+        return _run_dir_failure(exc, "serve", args.run_dir)
     service = AnalysisService(
         manager,
         host=args.host,
@@ -801,53 +797,38 @@ def _cmd_chaos(args) -> int:
     import shutil
     import tempfile
 
-    from repro.faults.chaos import run_chaos
-    from repro.synth.corpus import build_corpus
+    from repro.faults.chaos import claim_work_dir, run_scenarios
 
+    if args.work_dir:
+        try:
+            claim_work_dir(args.work_dir)
+        except FileExistsError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     if args.service:
-        from repro.service.chaos import run_service_chaos
+        from repro.service.chaos import ServeDriver
 
-        work_dir = args.work_dir or tempfile.mkdtemp(prefix="repro-chaos-")
-        print(f"service chaos: seed {args.seed}, run dirs under "
-              f"{work_dir} ...", file=sys.stderr)
-        report = run_service_chaos(work_dir, seed=args.seed)
-        print(report.render())
-        if report.ok and not args.work_dir:
-            shutil.rmtree(work_dir, ignore_errors=True)
-        elif not report.ok:
-            print(f"run directories kept for post-mortem: {work_dir}",
-                  file=sys.stderr)
-        return 0 if report.ok else 1
+        driver = ServeDriver(args.seed)
+    elif args.ingest:
+        from repro.ingest.chaos import ScanDriver
 
-    if args.ingest:
-        from repro.ingest.chaos import run_ingest_chaos
+        driver = ScanDriver(args.seed)
+    else:
+        from repro.eval.chaos import EvaluateDriver
+        from repro.synth.corpus import build_corpus
 
-        work_dir = args.work_dir or tempfile.mkdtemp(prefix="repro-chaos-")
-        print(f"ingest chaos: seed {args.seed}, run dirs under "
-              f"{work_dir} ...", file=sys.stderr)
-        report = run_ingest_chaos(work_dir, seed=args.seed)
-        print(report.render())
-        if report.ok and not args.work_dir:
-            shutil.rmtree(work_dir, ignore_errors=True)
-        elif not report.ok:
-            print(f"run directories kept for post-mortem: {work_dir}",
-                  file=sys.stderr)
-        return 0 if report.ok else 1
-
-    tools = [t.strip() for t in args.tools.split(",") if t.strip()]
-    unknown = [t for t in tools if t not in ALL_DETECTORS]
-    if unknown:
-        print(f"error: unknown detectors: {unknown} "
-              f"(known: {sorted(ALL_DETECTORS)})", file=sys.stderr)
-        return 2
-    print(f"building '{args.scale}' corpus ...", file=sys.stderr)
-    corpus = build_corpus(args.scale, seed=args.seed)
-    if args.limit:
-        corpus = corpus[: args.limit]
+        tools = _split_csv(args.tools)
+        if _unknown_tools(tools):
+            return 2
+        print(f"building '{args.scale}' corpus ...", file=sys.stderr)
+        corpus = build_corpus(args.scale, seed=args.seed)
+        if args.limit:
+            corpus = corpus[: args.limit]
+        driver = EvaluateDriver(corpus, tools, args.seed)
     work_dir = args.work_dir or tempfile.mkdtemp(prefix="repro-chaos-")
-    print(f"chaos: {len(corpus)} binaries x {tools}, seed {args.seed}, "
-          f"run dirs under {work_dir} ...", file=sys.stderr)
-    report = run_chaos(corpus, tools, work_dir, seed=args.seed)
+    print(f"{driver.title}: seed {args.seed}, run dirs under "
+          f"{work_dir} ...", file=sys.stderr)
+    report = run_scenarios(driver, work_dir)
     print(report.render())
     if report.ok and not args.work_dir:
         shutil.rmtree(work_dir, ignore_errors=True)
@@ -863,11 +844,8 @@ def _cmd_profile(args) -> int:
 
     from repro import obs
 
-    tools = [t.strip() for t in args.tools.split(",") if t.strip()]
-    unknown = [t for t in tools if t not in ALL_DETECTORS]
-    if unknown:
-        print(f"error: unknown detectors: {unknown} "
-              f"(known: {sorted(ALL_DETECTORS)})", file=sys.stderr)
+    tools = _split_csv(args.tools)
+    if _unknown_tools(tools):
         return 2
     recorder = obs.set_recorder(obs.TraceRecorder())
     try:
@@ -921,8 +899,7 @@ def _cmd_fuzz(args) -> int:
 
     families = None
     if args.families:
-        families = [f.strip() for f in args.families.split(",")
-                    if f.strip()]
+        families = _split_csv(args.families)
     timeout = (args.timeout if args.timeout is not None
                else DEFAULT_CASE_TIMEOUT)
     print(f"fuzzing: {args.budget} mutants, seed {args.seed} ...",

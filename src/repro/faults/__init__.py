@@ -4,9 +4,10 @@ The evaluation stack claims to survive worker deaths, torn journal
 writes, corrupted cache entries, and disk-full errors. This package
 makes those claims *testable*: named fault points at the I/O and
 process boundaries (:data:`~repro.faults.plan.ALL_SITES`), fault plans
-addressing them by ``(kind, site, ordinal)``, and a chaos harness
-(:mod:`repro.faults.chaos`) asserting that a faulted-then-resumed run
-reproduces the fault-free report exactly.
+addressing them by ``(kind, site, ordinal)``, and the chaos runner
+(:mod:`repro.faults.chaos`, with evaluate, scan and serve drivers)
+asserting that a faulted-then-resumed run reproduces the fault-free
+report exactly.
 
 Usage::
 

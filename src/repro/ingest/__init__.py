@@ -20,8 +20,8 @@ vanishing while we look at it:
   shared supervised worker pool, journaling every decision crash-safely;
 - :mod:`~repro.ingest.report` — the fleet report (CET adoption, triage
   and degradation histograms, per-tool agreement);
-- :mod:`~repro.ingest.chaos` — fault-injected scan scenarios proving
-  resume convergence;
+- :mod:`~repro.ingest.chaos` — the chaos runner's scan driver:
+  fault-injected scan scenarios proving resume convergence;
 - :mod:`~repro.ingest.fixtures` — reproducible hostile trees for tests.
 """
 

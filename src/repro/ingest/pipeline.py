@@ -144,6 +144,9 @@ def run_scan(
             list(roots), tools, include=include, exclude=exclude,
             policy=policy, follow_symlinks=follow_symlinks,
             timeout=timeout)
+        # Walk the manifest's absolute roots, as a resume will, so both
+        # runs journal the same path strings.
+        roots = manifest["roots"]
         journal = ScanJournal.create(run_dir, manifest)
         prior = ScanState()
 
@@ -200,11 +203,8 @@ def _drive_scan(
                     stats.resumed += 1
                     continue
                 stats.walk_skips += 1
-                doc = {"kind": "triage", "path": path, "decision": "skip",
-                       "reason": event.reason, "detail": event.detail}
-                journal.append_triage(path, "skip", event.reason,
-                                      detail=event.detail)
-                state.absorb(doc)
+                state.absorb(journal.append_triage(
+                    path, "skip", event.reason, detail=event.detail))
                 continue
             if path in completed:
                 stats.resumed += 1
@@ -218,25 +218,15 @@ def _drive_scan(
                 # An I/O hiccup while sampling: journaled as retryable,
                 # not as a final triage call, so a resume re-triages.
                 stats.triaged += 1
-                doc = {"kind": "failure", "path": path,
-                       "error_type": "TriageTransient",
-                       "message": f"{admission.reason}: {admission.detail}"}
-                journal.append_failure(path, "TriageTransient",
-                                       f"{admission.reason}: "
-                                       f"{admission.detail}")
-                state.absorb(doc)
+                state.absorb(journal.append_failure(
+                    path, "TriageTransient",
+                    f"{admission.reason}: {admission.detail}"))
                 continue
             if not admission.analyze:
                 stats.triaged += 1
-                doc = {"kind": "triage", "path": path,
-                       "decision": admission.decision,
-                       "reason": admission.reason,
-                       "detail": admission.detail, "size": event.size}
-                journal.append_triage(path, admission.decision,
-                                      admission.reason,
-                                      detail=admission.detail,
-                                      size=event.size)
-                state.absorb(doc)
+                state.absorb(journal.append_triage(
+                    path, admission.decision, admission.reason,
+                    detail=admission.detail, size=event.size))
                 continue
             admitted += 1
             yield event
@@ -244,18 +234,15 @@ def _drive_scan(
                 return
 
     def _record_analysis(candidate: Candidate, doc: dict) -> None:
-        journal.append_analysis(doc)
-        state.absorb({"kind": "analysis", **doc})
+        state.absorb(journal.append_analysis(doc))
         breaker.record_success(str(candidate.directory))
         if store is not None and doc.get("status") == "quarantined":
             _capture_quarantined(store, candidate, doc, policy)
 
     def _record_failure(candidate: Candidate, error_type: str,
                         message: str) -> None:
-        path = str(candidate.path)
-        journal.append_failure(path, error_type, message)
-        state.absorb({"kind": "failure", "path": path,
-                      "error_type": error_type, "message": message})
+        state.absorb(journal.append_failure(candidate.path, error_type,
+                                            message))
         breaker.record_failure(str(candidate.directory))
 
     def _dispatch(preload):

@@ -21,8 +21,8 @@ Layering:
 - :mod:`repro.service.receipts` — ``job-receipt/v1`` provenance.
 - :mod:`repro.service.ratelimit` — per-tenant token buckets.
 - :mod:`repro.service.metrics` — ``/v1/healthz`` + ``/v1/metrics``.
-- :mod:`repro.service.chaos` — kill/hang/poison/disk-full acceptance
-  scenarios.
+- :mod:`repro.service.chaos` — the chaos runner's serve driver:
+  kill/hang/poison/disk-full acceptance scenarios.
 """
 
 from repro.service.app import AnalysisService, DEFAULT_MAX_BODY

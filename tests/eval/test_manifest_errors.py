@@ -146,3 +146,31 @@ def test_evaluate_cli_resume_exit_codes(tmp_path, tiny_corpus, capsys):
     err = capsys.readouterr().err
     assert "refusing to resume" in err
     assert "first divergent entry is #0" in err
+
+
+def test_scan_cli_resume_refuses_non_object_manifest(tmp_path, capsys):
+    # Exit 3, as evaluate --resume does: the run directory is damaged.
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / "manifest.json").write_text("[]", encoding="utf-8")
+    (run_dir / "journal.jsonl").write_text("", encoding="utf-8")
+    assert cli.main(["scan", "--resume", str(run_dir)]) == 3
+    err = capsys.readouterr().err
+    assert "damaged" in err
+    assert "not a JSON object" in err
+
+
+def test_scan_cli_journal_write_failure_exits_3(tmp_path, capsys):
+    # Like evaluate: a failed append aborts resumably, not as misuse.
+    from repro.ingest.fixtures import build_fixture_tree
+
+    build_fixture_tree(tmp_path / "tree")
+    run_dir = tmp_path / "run"
+    code = cli.main(["scan", str(tmp_path / "tree"), "--run-dir",
+                     str(run_dir), "--workers", "1", "--fault-plan",
+                     "enospc@journal.append#3"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"--resume {run_dir}" in err
+    assert cli.main(["scan", "--resume", str(run_dir), "--output",
+                     str(tmp_path / "r.txt")]) == 0

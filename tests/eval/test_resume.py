@@ -23,11 +23,8 @@ from repro.eval.journal import (
     merge_resumed_report,
 )
 from repro.eval.parallel import run_evaluation_parallel
-from repro.faults.chaos import (
-    ChaosScenario,
-    normalize_report_doc,
-    run_chaos,
-)
+from repro.eval.chaos import normalize_report_doc, run_chaos
+from repro.faults.chaos import ChaosScenario
 
 TOOLS = ["funseeker"]
 

@@ -105,6 +105,27 @@ def test_transient_triage_fault_heals_on_resume(tree, tmp_path,
     assert doc == baseline_doc
 
 
+def test_relative_root_scan_resumes_to_baseline(tree, tmp_path,
+                                                monkeypatch, baseline_doc):
+    # The manifest records roots made absolute; the fresh scan must
+    # journal the same path strings the resume walks, or every path is
+    # decided twice and the faulted one never heals.
+    monkeypatch.chdir(tree.parent)
+    run_dir = tmp_path / "run"
+    faults.install(f"io@{faults.SITE_INGEST_ADMIT}#2")
+    try:
+        _scan(run_dir, Path(tree.name), workers=1)
+    finally:
+        faults.clear()
+    resumed = run_scan(run_dir, resume=True, workers=1)
+    payloads, _, _ = read_journal_lines(run_dir / "journal.jsonl")
+    assert len({doc["path"] for doc in payloads}) == \
+        len(resumed.state.completed) == 16
+    assert not resumed.state.failures
+    doc = normalize_fleet_report(build_fleet_report(resumed.state))
+    assert doc == baseline_doc
+
+
 def test_directory_breaker_skips_are_retryable(tree, tmp_path,
                                                baseline_doc):
     run_dir = tmp_path / "run"

@@ -57,3 +57,11 @@ class TestArgErrors:
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    @pytest.mark.parametrize("command", [
+        ["evaluate"], ["scan", "."], ["serve", "--run-dir", "unused"],
+        ["chaos"], ["profile", "unused.elf"],
+    ])
+    def test_unknown_tool_exits_2_before_any_work(self, command, capsys):
+        assert main([*command, "--tools", "nope"]) == 2
+        assert "unknown detectors: ['nope']" in capsys.readouterr().err

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.faults.chaos import normalize_report_doc
+from repro.eval.chaos import normalize_report_doc
 
 
 def _evaluate(tmp_path, name, *extra):
@@ -117,3 +117,16 @@ class TestChaosCli:
     def test_chaos_rejects_unknown_tool(self, capsys):
         assert main(["chaos", "--tools", "nope"]) == 2
         assert "unknown detectors" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("driver", [[], ["--ingest"], ["--service"]])
+    def test_chaos_refuses_non_empty_work_dir(self, tmp_path, capsys,
+                                              driver):
+        keep = tmp_path / "keep.txt"
+        keep.write_text("user data")
+        rc = main(["chaos", *driver, "--work-dir", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err.strip()
+        assert err == f"error: chaos work dir {tmp_path} is not empty; " \
+                      f"pass a fresh one"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.txt"]
+        assert keep.read_text() == "user data"
