@@ -269,15 +269,13 @@ def main(argv: list[str] | None = None) -> int:
              "(worker kill, torn journal, corrupted cache, disk full, "
              "cell hang) and assert every run resumes to the "
              "fault-free report")
-    p_ch.add_argument("--scale", default="tiny",
-                      choices=["tiny", "small", "full"])
+    p_ch.add_argument("--scale", choices=["tiny", "small", "full"],
+                      help="evaluate corpus scale (default tiny)")
     p_ch.add_argument("--seed", type=int, default=2022)
-    p_ch.add_argument("--tools", default="funseeker,fetch",
-                      help="comma-separated detector names "
-                           "(default funseeker,fetch)")
-    p_ch.add_argument("--limit", type=int, default=6,
-                      help="corpus entries to exercise (default 6; "
-                           "0 = the whole corpus)")
+    p_ch.add_argument("--tools", help="comma-separated detector names "
+                                      "(default: the driver's own)")
+    p_ch.add_argument("--limit", type=int,
+                      help="evaluate corpus entries (default 6; 0 = all)")
     p_ch.add_argument("--work-dir", default=None,
                       help="keep run directories here for post-mortem "
                            "(default: a temp dir, removed on success)")
@@ -472,7 +470,6 @@ def _cmd_evaluate(args) -> int:
         build_manifest,
         check_manifest,
         merge_resumed_report,
-        read_journal,
     )
     from repro.eval.parallel import run_evaluation_parallel
     from repro.eval.quarantine import QuarantineStore
@@ -504,7 +501,7 @@ def _cmd_evaluate(args) -> int:
         if args.resume:
             journal = RunJournal.resume(args.resume)
             check_manifest(journal.manifest(), corpus, tools)
-            prior = read_journal(args.resume)
+            prior = journal.fold()
             completed = prior.completed
             print(f"resuming {args.resume}: {len(prior.records)} cells "
                   f"journaled, {len(prior.failures)} failures to retry"
@@ -799,6 +796,18 @@ def _cmd_chaos(args) -> int:
 
     from repro.faults.chaos import claim_work_dir, run_scenarios
 
+    if args.ingest or args.service:
+        # Their inputs are fixed: a fixture tree, a few tiny binaries.
+        given = [f"--{name}" for name in ("scale", "limit")
+                 if getattr(args, name) is not None]
+        if given:
+            flag = "--service" if args.service else "--ingest"
+            print(f"error: chaos {flag} does not take "
+                  f"{' or '.join(given)}", file=sys.stderr)
+            return 2
+    tools = None if args.tools is None else _split_csv(args.tools)
+    if _unknown_tools(tools):
+        return 2
     if args.work_dir:
         try:
             claim_work_dir(args.work_dir)
@@ -808,23 +817,23 @@ def _cmd_chaos(args) -> int:
     if args.service:
         from repro.service.chaos import ServeDriver
 
-        driver = ServeDriver(args.seed)
+        driver = ServeDriver(args.seed, tools)
     elif args.ingest:
         from repro.ingest.chaos import ScanDriver
 
-        driver = ScanDriver(args.seed)
+        driver = ScanDriver(args.seed, tools)
     else:
         from repro.eval.chaos import EvaluateDriver
         from repro.synth.corpus import build_corpus
 
-        tools = _split_csv(args.tools)
-        if _unknown_tools(tools):
-            return 2
-        print(f"building '{args.scale}' corpus ...", file=sys.stderr)
-        corpus = build_corpus(args.scale, seed=args.seed)
-        if args.limit:
-            corpus = corpus[: args.limit]
-        driver = EvaluateDriver(corpus, tools, args.seed)
+        scale = args.scale or "tiny"
+        limit = 6 if args.limit is None else args.limit
+        print(f"building '{scale}' corpus ...", file=sys.stderr)
+        corpus = build_corpus(scale, seed=args.seed)
+        if limit:
+            corpus = corpus[:limit]
+        driver = EvaluateDriver(corpus, tools or ["funseeker", "fetch"],
+                                args.seed)
     work_dir = args.work_dir or tempfile.mkdtemp(prefix="repro-chaos-")
     print(f"{driver.title}: seed {args.seed}, run dirs under "
           f"{work_dir} ...", file=sys.stderr)

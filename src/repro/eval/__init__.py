@@ -4,12 +4,11 @@ from repro.eval.breaker import BreakerState, CircuitBreaker
 from repro.eval.export import report_to_csv, report_to_json
 from repro.eval.isolation import FailureRecord
 from repro.eval.journal import (
-    JournalState,
     RunJournal,
+    RunState,
     build_manifest,
     check_manifest,
     merge_resumed_report,
-    read_journal,
 )
 from repro.eval.metrics import (
     Confusion,
@@ -43,10 +42,10 @@ __all__ = [
     "ErrorBreakdown",
     "EvalReport",
     "FailureRecord",
-    "JournalState",
     "QuarantineStore",
     "RunJournal",
     "RunRecord",
+    "RunState",
     "analyze_errors",
     "build_manifest",
     "check_manifest",
@@ -56,7 +55,6 @@ __all__ = [
     "false_positives",
     "figure3",
     "merge_resumed_report",
-    "read_journal",
     "replay_entry",
     "report_to_csv",
     "report_to_json",

@@ -20,7 +20,6 @@ from repro.eval.journal import (
     build_manifest,
     check_manifest,
     merge_resumed_report,
-    read_journal,
 )
 from repro.eval.parallel import run_evaluation_parallel
 from repro.faults.chaos import (
@@ -136,10 +135,10 @@ class EvaluateDriver(ChaosDriver):
                 backstop_grace=CHAOS_BACKSTOP_GRACE)
 
     def resume(self, scenario, run_dir, result, state) -> dict:
-        prior = read_journal(run_dir)
-        result.counts["journaled"] = len(prior.records)
         with RunJournal.resume(run_dir) as journal:
             check_manifest(journal.manifest(), self.corpus, self.tools)
+            prior = journal.fold()
+            result.counts["journaled"] = len(prior.records)
             fresh = run_evaluation_parallel(
                 self.corpus, self.tools, workers=1,
                 timeout=scenario.timeout, journal=journal,

@@ -22,12 +22,12 @@ mid-append leaves at most one partial line, which is dropped and
 counted, never fatal — and skips (while counting) any corrupt interior
 line.
 
-Resume semantics: a cell with a journaled *success* record is skipped
-by the next run; journaled *failures* are retried (so a crash-induced
-failure heals on resume, and the recovered report matches a fault-free
-run). ``--resume`` refuses a journal whose manifest fingerprint does
-not match the rebuilt corpus (:class:`ManifestMismatchError`) — the
-journal describes a different run.
+Resume semantics (:class:`JournalFold`, shared by scan and serve): a
+cell with a journaled *success* record is skipped by the next run;
+journaled *failures* are retried, so a crash-induced failure heals and
+the recovered report matches a fault-free run. ``--resume`` refuses a
+journal whose manifest does not match the rebuilt corpus
+(:class:`ManifestMismatchError`).
 """
 
 from __future__ import annotations
@@ -37,10 +37,9 @@ import json
 import os
 import time
 import zlib
-from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Hashable, Iterable, Sequence
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro import faults, obs
 from repro.errors import (
@@ -135,11 +134,8 @@ def check_manifest(
     corpus: Sequence[CorpusEntry],
     tools: Sequence[str],
 ) -> None:
-    """Refuse to resume a journal recorded for a *different* run."""
-    if manifest.get("schema") != MANIFEST_SCHEMA:
-        raise ManifestMismatchError(
-            f"unsupported manifest schema {manifest.get('schema')!r} "
-            f"(expected {MANIFEST_SCHEMA})")
+    """Refuse to resume a journal recorded for a *different* run
+    (:meth:`RunDirectory.manifest` has checked the schema)."""
     recorded = manifest.get("tools")
     if recorded != list(tools):
         raise ManifestMismatchError(
@@ -206,12 +202,12 @@ def _checksum(payload: str) -> str:
 class JournalFile:
     """Checksummed JSONL appender: one fsync'd line per payload.
 
-    The byte-level substrate shared by the evaluation run journal and
-    the fleet-scan journal (:mod:`repro.ingest.journal`): callers hand
-    over one ``dict`` per decided unit of work, this class handles the
-    checksum envelope, the flush-and-fsync durability contract, and the
-    ``journal.append`` fault point (including the simulated torn write
-    of the ``truncate`` data kind).
+    The byte-level substrate of every run directory (evaluation, scan
+    and serve): callers hand over one ``dict`` per decided unit of
+    work, this class handles the checksum envelope, the
+    flush-and-fsync durability contract, and the ``journal.append``
+    fault point (including the simulated torn write of the
+    ``truncate`` data kind).
     """
 
     def __init__(self, path: str | os.PathLike) -> None:
@@ -252,6 +248,11 @@ class JournalFile:
                 self._file = None
 
 
+# ---------------------------------------------------------------------------
+# Loading
+# ---------------------------------------------------------------------------
+
+
 def read_journal_lines(
     path: str | os.PathLike,
 ) -> tuple[list[dict], int, bool]:
@@ -289,18 +290,129 @@ def read_journal_lines(
     return payloads, corrupt, torn_tail
 
 
+def _decode_line(line: str) -> dict | None:
+    """One journal line's ``data``, or ``None`` if torn/corrupt."""
+    line = line.strip()
+    if not line:
+        return None
+    try:
+        doc = json.loads(line)
+    except ValueError:
+        return None
+    if not isinstance(doc, dict):
+        return None
+    data = doc.get("data")
+    if not isinstance(data, dict):
+        return None
+    if doc.get("crc") != _checksum(_canonical(data)):
+        return None
+    return data
+
+
+class FoldEntry(NamedTuple):
+    """One key's latest final value and latest retryable value."""
+
+    final: object = None
+    retryable: object = None
+
+
+class JournalFold:
+    """A journal's lines folded to one outcome per key.
+
+    Evaluate, scan and serve each subclass it with a key function, a
+    table of *final* kinds (decided for good) and *retryable* kinds (a
+    loss the next run retries), and a line decoder. The rule: later
+    lines win per key; a final line supersedes any retryable line, in
+    either order; keys keep the order they were first seen; a torn
+    tail, a corrupt or undecodable line, an unknown kind and an orphan
+    line (see ``opened``) are counted as corrupt, never fatal.
+    """
+
+    final_kinds: frozenset[str] = frozenset()
+    retryable_kinds: frozenset[str] = frozenset()
+    #: Whether only a retryable line opens a key: a final line for a
+    #: key that no retryable line names is then an orphan.
+    opened = False
+
+    def __init__(self) -> None:
+        self.entries: dict[Hashable, FoldEntry] = {}
+        self.corrupt_lines = 0
+        self.torn_tail = False
+
+    @classmethod
+    def read(cls, path: str | os.PathLike) -> Self:
+        """Fold every line of the journal at ``path`` (missing = empty)."""
+        fold = cls()
+        payloads, fold.corrupt_lines, fold.torn_tail = read_journal_lines(
+            path)
+        for doc in payloads:
+            try:
+                fold.absorb(doc)
+            except (KeyError, TypeError, ValueError):
+                fold.corrupt_lines += 1
+        if cls.opened:
+            opened = {key: entry for key, entry in fold.entries.items()
+                      if entry.retryable is not None}
+            fold.corrupt_lines += len(fold.entries) - len(opened)
+            fold.entries = opened
+        return fold
+
+    def key(self, doc: dict) -> Hashable:
+        raise NotImplementedError
+
+    def decode(self, doc: dict) -> object:
+        """The value one line stands for; raises for an unusable line."""
+        raise NotImplementedError
+
+    def absorb(self, doc: dict) -> None:
+        """Fold one journal payload (also used live, line by line).
+
+        Raises ``KeyError``, ``TypeError`` or ``ValueError`` for a line
+        this journal cannot use.
+        """
+        kind = doc.get("kind")
+        final = kind in self.final_kinds
+        if not final and kind not in self.retryable_kinds:
+            raise ValueError(f"unknown journal kind {kind!r}")
+        self.put(self.key(doc), self.decode(doc), final=final)
+
+    def put(self, key: Hashable, value: object, *, final: bool) -> None:
+        entry = self.entries.get(key, FoldEntry())
+        self.entries[key] = (entry._replace(final=value) if final
+                             else entry._replace(retryable=value))
+
+    def finals(self) -> dict:
+        """Each decided key's final value."""
+        return {key: entry.final for key, entry in self.entries.items()
+                if entry.final is not None}
+
+    def pending(self) -> dict:
+        """Each undecided key's retryable value: what a resume retries."""
+        return {key: entry.retryable for key, entry in self.entries.items()
+                if entry.final is None}
+
+    @property
+    def completed(self) -> set:
+        """Keys that need no re-run: those with a final line."""
+        return set(self.finals())
+
+
 class RunDirectory:
     """Lifecycle of a run directory: a manifest plus one append journal.
 
-    Shared by the evaluation and scan journals: ``create`` refuses a
-    directory that already holds a manifest, ``resume`` requires one,
-    and ``manifest`` raises :class:`ManifestCorruptError` for anything
-    but a readable JSON object.
+    Shared by evaluate, scan and serve: ``create`` refuses a directory
+    that already holds a manifest, ``resume`` requires one, and
+    ``manifest`` raises :class:`ManifestCorruptError` for anything but
+    a JSON object, :class:`ManifestMismatchError` for another schema.
     """
+
+    manifest_schema: str
+    fold_type: type[JournalFold]
 
     def __init__(self, run_dir: str | os.PathLike) -> None:
         self.run_dir = Path(run_dir)
         self.path = self.run_dir / JOURNAL_NAME
+        self.manifest_path = self.run_dir / MANIFEST_NAME
         self._journal = JournalFile(self.path)
 
     @classmethod
@@ -308,12 +420,12 @@ class RunDirectory:
         """Initialize a fresh run directory (manifest + empty journal)."""
         journal = cls(run_dir)
         journal.run_dir.mkdir(parents=True, exist_ok=True)
-        if (journal.run_dir / MANIFEST_NAME).exists():
+        if journal.manifest_path.exists():
             raise JournalError(
                 f"run directory {journal.run_dir} already holds a "
                 "manifest; use resume() or pick a fresh directory")
-        _write_atomic(journal.run_dir / MANIFEST_NAME,
-                      json.dumps(manifest, indent=1, sort_keys=True))
+        write_atomic(journal.manifest_path,
+                     json.dumps(manifest, indent=1, sort_keys=True).encode())
         journal.path.touch()
         return journal
 
@@ -321,7 +433,7 @@ class RunDirectory:
     def resume(cls, run_dir: str | os.PathLike) -> Self:
         """Open an existing run directory for appending."""
         journal = cls(run_dir)
-        if not (journal.run_dir / MANIFEST_NAME).is_file():
+        if not journal.manifest_path.is_file():
             raise JournalError(
                 f"{journal.run_dir} is not a run directory "
                 f"(no {MANIFEST_NAME})")
@@ -329,7 +441,7 @@ class RunDirectory:
 
     def manifest(self) -> dict:
         try:
-            with open(self.run_dir / MANIFEST_NAME, encoding="utf-8") as f:
+            with open(self.manifest_path, encoding="utf-8") as f:
                 doc = json.load(f)
             if not isinstance(doc, dict):
                 raise ValueError("not a JSON object")
@@ -337,7 +449,15 @@ class RunDirectory:
             raise ManifestCorruptError(
                 f"manifest in {self.run_dir} is unreadable or corrupt: "
                 f"{exc}") from exc
+        if doc.get("schema") != self.manifest_schema:
+            raise ManifestMismatchError(
+                f"unsupported manifest schema {doc.get('schema')!r} in "
+                f"{self.run_dir} (expected {self.manifest_schema})")
         return doc
+
+    def fold(self) -> JournalFold:
+        """The journal folded to one outcome per key."""
+        return self.fold_type.read(self.path)
 
     def append(self, doc: dict) -> dict:
         """Journal one line; returns ``doc``."""
@@ -354,36 +474,18 @@ class RunDirectory:
         self.close()
 
 
-class RunJournal(RunDirectory):
-    """Single-writer append handle on a run directory's journal.
-
-    Only the sweep *parent* writes: pool workers report results up and
-    the parent journals them, so there is exactly one writer per run
-    and lines never interleave. Every append is flushed and fsync'd —
-    a SIGKILL between cells loses nothing, a SIGKILL mid-append tears
-    at most the final line, which loading tolerates.
-    """
-
-    # -- appends ------------------------------------------------------------
-
-    def append_record(self, record: RunRecord) -> None:
-        self.append({"kind": "record", **_record_to_dict(record)})
-
-    def append_failure(self, failure: FailureRecord) -> None:
-        self.append({"kind": "failure", **_failure_to_dict(failure)})
-
-
-def _write_atomic(path: Path, text: str) -> None:
+def write_atomic(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` durably: fsync'd, then renamed in."""
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as f:
-        f.write(text)
+    with open(tmp, "wb") as f:
+        f.write(data)
         f.flush()
         os.fsync(f.fileno())
     os.replace(tmp, path)
 
 
 # ---------------------------------------------------------------------------
-# Serialization
+# The evaluation journal
 # ---------------------------------------------------------------------------
 
 
@@ -433,132 +535,80 @@ def _failure_from_dict(doc: dict) -> FailureRecord:
     )
 
 
-# ---------------------------------------------------------------------------
-# Loading
-# ---------------------------------------------------------------------------
+class RunState(JournalFold):
+    """The run journal folded per cell; a ``failure`` is retried."""
 
+    final_kinds = frozenset({"record"})
+    retryable_kinds = frozenset({"failure"})
 
-@dataclass
-class JournalState:
-    """Everything a resume needs from a prior run's journal."""
+    def key(self, doc: dict) -> CellKey:
+        return tuple(doc[f] for f in _KEY_FIELDS)
 
-    records: list[RunRecord] = field(default_factory=list)
-    failures: list[FailureRecord] = field(default_factory=list)
-    corrupt_lines: int = 0
-    torn_tail: bool = False
+    def decode(self, doc: dict) -> RunRecord | FailureRecord:
+        if doc["kind"] == "record":
+            return _record_from_dict(doc)
+        return _failure_from_dict(doc)
+
+    def add(self, outcome: RunRecord | FailureRecord) -> None:
+        """Fold one live outcome as its journal line would be folded."""
+        self.put(cell_key(outcome), outcome,
+                 final=isinstance(outcome, RunRecord))
 
     @property
-    def completed(self) -> set[CellKey]:
-        """Cells that need no re-run: those with a *success* record.
+    def records(self) -> list[RunRecord]:
+        return list(self.finals().values())
 
-        Failures are deliberately absent — a journaled failure is
-        retried on resume so crash-induced failures heal rather than
-        persist into the recovered report.
-        """
-        return {cell_key(r) for r in self.records}
+    @property
+    def failures(self) -> list[FailureRecord]:
+        return list(self.pending().values())
 
 
-def read_journal(run_dir: str | os.PathLike) -> JournalState:
-    """Load a journal, tolerating a torn tail and corrupt lines.
+class RunJournal(RunDirectory):
+    """Single-writer append handle on a run directory's journal.
 
-    Later lines win when a cell appears more than once (a resumed run
-    appends its fresh outcome after the original one), and a success
-    record for a cell supersedes any journaled failure for it.
+    Only the sweep *parent* writes: pool workers report results up and
+    the parent journals them, so there is exactly one writer per run
+    and lines never interleave. Every append is flushed and fsync'd —
+    a SIGKILL between cells loses nothing, a SIGKILL mid-append tears
+    at most the final line, which loading tolerates.
     """
-    path = Path(run_dir) / JOURNAL_NAME
-    state = JournalState()
-    payloads, state.corrupt_lines, state.torn_tail = read_journal_lines(
-        path)
 
-    records: dict[CellKey, RunRecord] = {}
-    failures: dict[CellKey, FailureRecord] = {}
-    order: list[CellKey] = []
-    seen: set[CellKey] = set()
-    for data in payloads:
-        kind = data.get("kind")
-        try:
-            if kind == "record":
-                record = _record_from_dict(data)
-                key = cell_key(record)
-                records[key] = record
-                failures.pop(key, None)
-            elif kind == "failure":
-                failure = _failure_from_dict(data)
-                key = cell_key(failure)
-                failures[key] = failure
-            else:
-                state.corrupt_lines += 1
-                continue
-        except (KeyError, TypeError):
-            state.corrupt_lines += 1
-            continue
-        if key not in seen:
-            seen.add(key)
-            order.append(key)
-    state.records = [records[k] for k in order if k in records]
-    state.failures = [failures[k] for k in order
-                      if k in failures and k not in records]
-    return state
+    manifest_schema = MANIFEST_SCHEMA
+    fold_type = RunState
 
+    def append_record(self, record: RunRecord) -> None:
+        self.append({"kind": "record", **_record_to_dict(record)})
 
-def _decode_line(line: str) -> dict | None:
-    """One journal line's ``data``, or ``None`` if torn/corrupt."""
-    line = line.strip()
-    if not line:
-        return None
-    try:
-        doc = json.loads(line)
-    except ValueError:
-        return None
-    if not isinstance(doc, dict):
-        return None
-    data = doc.get("data")
-    if not isinstance(data, dict):
-        return None
-    if doc.get("crc") != _checksum(_canonical(data)):
-        return None
-    return data
-
-
-# ---------------------------------------------------------------------------
-# Resume assembly
-# ---------------------------------------------------------------------------
+    def append_failure(self, failure: FailureRecord) -> None:
+        self.append({"kind": "failure", **_failure_to_dict(failure)})
 
 
 def merge_resumed_report(
     corpus: Sequence[CorpusEntry],
     tools: Sequence[str],
-    prior: JournalState,
+    prior: RunState,
     fresh: EvalReport,
 ) -> EvalReport:
-    """Combine journaled results with a resume run's fresh results.
+    """Fold a resume run's fresh outcomes over ``prior``; emit the report.
 
-    Records are emitted in canonical corpus x tool order — the order a
+    The fresh outcomes go through the journal fold like their journal
+    lines would, on a copy: ``prior`` stays as journaled. The report
+    lists cells in canonical corpus x tool order — the order a
     fault-free serial sweep produces — so a recovered report is
-    byte-identical (modulo timing fields) to an uninterrupted one. A
-    fresh outcome supersedes a journaled one for the same cell, and
-    only failures that *survived* the resume run (fresh failures, plus
-    journaled failures for cells the resume did not re-decide) remain.
+    byte-identical (modulo timing fields) to an uninterrupted one.
     """
-    records: dict[CellKey, RunRecord] = {cell_key(r): r
-                                         for r in prior.records}
-    failures: dict[CellKey, FailureRecord] = {cell_key(f): f
-                                              for f in prior.failures}
-    for record in fresh.records:
-        key = cell_key(record)
-        records[key] = record
-        failures.pop(key, None)
-    for failure in fresh.failures:
-        key = cell_key(failure)
-        failures[key] = failure
-        records.pop(key, None)
-
+    state = RunState()
+    state.entries = dict(prior.entries)
+    for outcome in (*fresh.records, *fresh.failures):
+        state.add(outcome)
     merged = EvalReport()
     for entry in corpus:
         for tool in tools:
-            key = entry_cell_key(entry, tool)
-            if key in records:
-                merged.records.append(records[key])
-            elif key in failures:
-                merged.failures.append(failures[key])
+            found = state.entries.get(entry_cell_key(entry, tool))
+            if found is None:
+                continue
+            if found.final is not None:
+                merged.records.append(found.final)
+            else:
+                merged.failures.append(found.retryable)
     return merged

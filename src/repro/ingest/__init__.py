@@ -37,7 +37,6 @@ from repro.ingest.journal import (
     ScanState,
     build_scan_manifest,
     check_scan_manifest,
-    read_scan_journal,
 )
 from repro.ingest.ladder import (
     BinaryOutcome,
@@ -79,7 +78,6 @@ __all__ = [
     "discover",
     "normalize_fleet_report",
     "pairwise_agreement",
-    "read_scan_journal",
     "render_fleet_table",
     "run_scan",
     "triage",

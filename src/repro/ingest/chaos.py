@@ -25,6 +25,7 @@ from repro.faults.chaos import (
     ScenarioFailed,
 )
 from repro.ingest.fixtures import build_fixture_tree
+from repro.ingest.journal import ScanState
 from repro.ingest.pipeline import run_scan
 from repro.ingest.report import build_fleet_report, normalize_fleet_report
 
@@ -65,12 +66,15 @@ class ScanDriver(ChaosDriver):
         return (normalize_fleet_report(build_fleet_report(result.state)),
                 len(result.state.completed))
 
-    def faulted(self, scenario, run_dir, result) -> None:
-        run_scan(run_dir, roots=[str(self.tree)], tools=self.tools,
-                 workers=scenario.workers, timeout=scenario.timeout,
-                 backstop_grace=CHAOS_BACKSTOP_GRACE)
+    def faulted(self, scenario, run_dir, result) -> ScanState:
+        return run_scan(run_dir, roots=[str(self.tree)], tools=self.tools,
+                        workers=scenario.workers, timeout=scenario.timeout,
+                        backstop_grace=CHAOS_BACKSTOP_GRACE).state
 
     def resume(self, scenario, run_dir, result, state) -> dict:
+        if not (result.crash or state.failures):
+            raise ScenarioFailed("the fault never fired: no crash and "
+                                 "nothing left to resume")
         resumed = run_scan(run_dir, resume=True, workers=1,
                            timeout=scenario.timeout,
                            backstop_grace=CHAOS_BACKSTOP_GRACE).state

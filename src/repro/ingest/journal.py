@@ -1,9 +1,9 @@
 """The fleet-scan journal: every candidate decided exactly once.
 
-Reuses the evaluation journal's byte substrate
-(:class:`repro.eval.journal.JournalFile`: checksummed JSONL, fsync per
-line, torn-tail tolerant loading, the ``journal.append`` fault point)
-with scan-shaped records keyed by **path** instead of corpus cell:
+A :class:`repro.eval.journal.RunDirectory` (checksummed JSONL, fsync
+per line, the ``journal.append`` fault point, the shared
+:class:`~repro.eval.journal.JournalFold`) with scan-shaped records
+keyed by **path** instead of corpus cell:
 
 - ``triage`` — a final admission call (``skip``/``reject``) or a walk
   skip; never re-decided on resume.
@@ -32,15 +32,10 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.errors import ManifestMismatchError
-from repro.eval.journal import (
-    JOURNAL_NAME,
-    RunDirectory,
-    read_journal_lines,
-)
+from repro.eval.journal import JournalFold, RunDirectory
 from repro.ingest.admit import AdmissionPolicy
 
 SCAN_JOURNAL_SCHEMA = "scan-journal/v1"
@@ -76,11 +71,8 @@ def build_scan_manifest(
 
 
 def check_scan_manifest(manifest: dict, roots: list[str] | None) -> None:
-    """Refuse to resume a journal recorded for a *different* scan."""
-    if manifest.get("schema") != SCAN_MANIFEST_SCHEMA:
-        raise ManifestMismatchError(
-            f"unsupported manifest schema {manifest.get('schema')!r} "
-            f"(expected {SCAN_MANIFEST_SCHEMA})")
+    """Refuse to resume a journal recorded for a *different* scan
+    (:meth:`ScanJournal.manifest` has checked the schema)."""
     if roots:
         recorded = manifest.get("roots") or []
         given = [str(Path(r).absolute()) for r in roots]
@@ -90,8 +82,54 @@ def check_scan_manifest(manifest: dict, roots: list[str] | None) -> None:
                 f"recorded {recorded}, resuming with {given}")
 
 
+class ScanState(JournalFold):
+    """The scan journal folded per path; a ``failure`` is retried."""
+
+    final_kinds = frozenset({KIND_TRIAGE, KIND_ANALYSIS})
+    retryable_kinds = frozenset({KIND_FAILURE})
+
+    def key(self, doc: dict) -> str:
+        path = doc["path"]
+        if not isinstance(path, str):
+            raise TypeError(f"journaled path {path!r} is not a string")
+        return path
+
+    def decode(self, doc: dict) -> dict:
+        kind = doc["kind"]
+        if kind == KIND_TRIAGE and doc.get("decision") not in ("skip",
+                                                               "reject"):
+            raise ValueError(f"bad triage decision {doc.get('decision')!r}")
+        if kind == KIND_ANALYSIS and not isinstance(doc.get("status"), str):
+            raise ValueError(f"bad analysis status {doc.get('status')!r}")
+        return doc
+
+    def _finals_of(self, kind: str) -> dict[str, dict]:
+        return {path: doc for path, doc in self.finals().items()
+                if doc["kind"] == kind}
+
+    @property
+    def triage(self) -> dict[str, dict]:
+        return self._finals_of(KIND_TRIAGE)
+
+    @property
+    def analyses(self) -> dict[str, dict]:
+        return self._finals_of(KIND_ANALYSIS)
+
+    @property
+    def failures(self) -> dict[str, dict]:
+        return self.pending()
+
+    @property
+    def decided(self) -> int:
+        """Paths with any usable line, each counted once."""
+        return len(self.entries)
+
+
 class ScanJournal(RunDirectory):
     """Single-writer append handle on a scan run directory."""
+
+    manifest_schema = SCAN_MANIFEST_SCHEMA
+    fold_type = ScanState
 
     # -- appends: each returns the payload it journaled ----------------------
 
@@ -117,66 +155,3 @@ class ScanJournal(RunDirectory):
             "kind": KIND_FAILURE, "path": str(path),
             "error_type": error_type, "message": message,
         })
-
-
-# ---------------------------------------------------------------------------
-# Loading
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ScanState:
-    """Everything a resume (or a fleet report) needs from a journal.
-
-    Later lines win per path, and a final record (triage or analysis)
-    for a path supersedes any journaled retryable failure for it.
-    """
-
-    triage: dict[str, dict] = field(default_factory=dict)
-    analyses: dict[str, dict] = field(default_factory=dict)
-    failures: dict[str, dict] = field(default_factory=dict)
-    corrupt_lines: int = 0
-    torn_tail: bool = False
-
-    @property
-    def completed(self) -> set[str]:
-        """Paths needing no re-decision: final triage or analysis."""
-        return set(self.triage) | set(self.analyses)
-
-    @property
-    def decided(self) -> int:
-        return len(self.triage) + len(self.analyses) + len(self.failures)
-
-    def absorb(self, doc: dict) -> None:
-        """Apply one journal payload (also used live, record by record)."""
-        path = doc.get("path")
-        if not isinstance(path, str):
-            raise KeyError("path")
-        kind = doc.get("kind")
-        if kind == KIND_TRIAGE:
-            if doc.get("decision") not in ("skip", "reject"):
-                raise KeyError("decision")
-            self.triage[path] = doc
-            self.failures.pop(path, None)
-        elif kind == KIND_ANALYSIS:
-            if not isinstance(doc.get("status"), str):
-                raise KeyError("status")
-            self.analyses[path] = doc
-            self.failures.pop(path, None)
-        elif kind == KIND_FAILURE:
-            self.failures[path] = doc
-        else:
-            raise KeyError("kind")
-
-
-def read_scan_journal(run_dir: str | os.PathLike) -> ScanState:
-    """Load a scan journal, tolerating torn tails and corrupt lines."""
-    state = ScanState()
-    payloads, state.corrupt_lines, state.torn_tail = read_journal_lines(
-        Path(run_dir) / JOURNAL_NAME)
-    for doc in payloads:
-        try:
-            state.absorb(doc)
-        except (KeyError, TypeError):
-            state.corrupt_lines += 1
-    return state

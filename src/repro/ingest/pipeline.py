@@ -54,7 +54,6 @@ from repro.ingest.journal import (
     ScanState,
     build_scan_manifest,
     check_scan_manifest,
-    read_scan_journal,
 )
 from repro.ingest.ladder import LadderReadError, analyze_binary
 
@@ -134,7 +133,7 @@ def run_scan(
         follow_symlinks = bool(manifest.get("follow_symlinks", True))
         if timeout is None:
             timeout = (manifest.get("config") or {}).get("timeout")
-        prior = read_scan_journal(run_dir)
+        prior = journal.fold()
     else:
         if not roots:
             raise ValueError("a fresh scan needs at least one root")

@@ -238,9 +238,9 @@ class ServeDriver(ChaosDriver):
     failures = (ServerCrashed, OSError, http.client.HTTPException)
 
     def __init__(self, seed: int = 2022,
-                 tools: tuple[str, ...] = _CHAOS_TOOLS,
+                 tools: list[str] | tuple[str, ...] | None = None,
                  binaries: int = 3) -> None:
-        self.tools = tools
+        tools = self.tools = tuple(tools or _CHAOS_TOOLS)
         corpus = build_corpus("tiny", seed=seed)[:binaries]
         self.images = [entry.stripped for entry in corpus]
         # The kill fires on the last of the run's cells (one parse +

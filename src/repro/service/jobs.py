@@ -8,13 +8,13 @@ new ones:
   same binary returns the same job (and performs zero additional
   analysis), and a restarted server recomputes identical ids from its
   journal.
-- **durability** — every accepted submission writes the image to a
-  content-addressed blob file and appends a ``job-submitted`` line to a
-  :class:`~repro.eval.journal.JournalFile` (same crc32 envelope, fsync
-  discipline, and ``journal.append`` fault point as the evaluation run
-  journal); completion appends ``job-completed`` with the full analysis
-  and receipt. A SIGKILL at any point loses at most a torn tail:
-  completed work is served from the journal after restart, accepted but
+- **durability** — the run directory is a
+  :class:`~repro.eval.journal.RunDirectory`, like evaluate's and
+  scan's. Every accepted submission writes the image to a
+  content-addressed blob file and appends a ``job-submitted`` line;
+  completion appends ``job-completed`` with the full analysis and
+  receipt. A SIGKILL at any point loses at most a torn tail: completed
+  work is served from the journal after restart, accepted but
   unfinished work is re-enqueued.
 - **analysis** — jobs execute through
   :func:`repro.eval.analyze.analyze_image` on an injected
@@ -49,11 +49,10 @@ import asyncio
 import errno
 import functools
 import hashlib
-import json
 import os
 import time
 from concurrent.futures import Executor, ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro import faults, obs
@@ -66,8 +65,6 @@ from repro.cache.disk import (
 )
 from repro.errors import (
     JournalWriteError,
-    ManifestCorruptError,
-    ManifestMismatchError,
     QueueFullError,
     ServiceUnavailableError,
     WorkerLostError,
@@ -80,7 +77,7 @@ from repro.eval.analyze import (
     content_digest,
     warm_lookup,
 )
-from repro.eval.journal import JournalFile, read_journal_lines
+from repro.eval.journal import JournalFold, RunDirectory, write_atomic
 from repro.eval.quarantine import QuarantineStore
 from repro.eval.supervisor import (
     DEFAULT_BACKSTOP,
@@ -91,8 +88,6 @@ from repro.obs import log
 from repro.service.receipts import build_receipt
 
 SERVICE_MANIFEST_SCHEMA = "service-manifest/v1"
-MANIFEST_NAME = "manifest.json"
-JOURNAL_NAME = "journal.jsonl"
 BLOBS_DIR = "blobs"
 QUARANTINE_DIR = "quarantine"
 
@@ -242,13 +237,53 @@ class Batch:
         }
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as f:
-        f.write(text)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, path)
+class JobFold(JournalFold):
+    """The serve journal folded per job id.
+
+    A ``job-submitted`` line opens a job, which stays pending (and is
+    re-enqueued by a restart) until a terminal line decides it. A
+    terminal line decodes to the :class:`Job` fields it sets.
+    """
+
+    final_kinds = frozenset({"job-completed", "job-failed", "job-poisoned"})
+    retryable_kinds = frozenset({"job-submitted"})
+    opened = True
+
+    def key(self, doc: dict) -> str:
+        return doc["job"]
+
+    def decode(self, doc: dict) -> Job | dict:
+        kind = doc["kind"]
+        if kind == "job-submitted":
+            return Job(
+                job_id=doc["job"],
+                tenant=doc["tenant"],
+                sha256=doc["sha256"],
+                size_bytes=doc["size"],
+                tools=tuple(doc["tools"]),
+                submitted_at=doc["at"],
+            )
+        if kind == "job-completed":
+            return {"status": JOB_DONE,
+                    "analysis": ImageAnalysis.from_doc(doc["analysis"]),
+                    "receipt": doc["receipt"],
+                    "completed_at": doc["at"]}
+        # Terminal failures: a restart must NOT re-enqueue these — that
+        # is the whole point of journaling them (poison jobs would
+        # otherwise kill workers forever).
+        fields = {"status": JOB_FAILED, "error": doc.get("error"),
+                  "completed_at": doc["at"]}
+        if kind == "job-poisoned":
+            fields.update(poisoned=True, crashes=doc.get("crashes", 0),
+                          quarantined=doc.get("quarantine"))
+        return fields
+
+
+class JobJournal(RunDirectory):
+    """Serve's run directory: manifest, job journal, blobs, quarantine."""
+
+    manifest_schema = SERVICE_MANIFEST_SCHEMA
+    fold_type = JobFold
 
 
 class JobManager:
@@ -299,8 +334,6 @@ class JobManager:
         self.probe_interval = max(0.0, probe_interval)
         self.clock = clock
         self.started_at = clock()
-        #: Whether this manager resumed an existing run directory.
-        self.resumed = False
         #: Health state machine: healthy → degraded (read-only, on
         #: ENOSPC) → healthy again after a successful probe; draining
         #: once :meth:`stop` begins.
@@ -313,8 +346,20 @@ class JobManager:
         self.blobs_dir.mkdir(exist_ok=True)
         self.quarantine_dir = self.run_dir / QUARANTINE_DIR
         self._quarantine = QuarantineStore(self.quarantine_dir)
-        self._open_manifest()
-        self._journal = JournalFile(self.run_dir / JOURNAL_NAME)
+        self._journal = JobJournal(self.run_dir)
+        #: Whether this manager resumed an existing run directory.
+        self.resumed = self._journal.manifest_path.exists()
+        if self.resumed:
+            # Refuses a corrupt manifest or another run's.
+            self._journal.manifest()
+        else:
+            from repro import __version__
+
+            self._journal = JobJournal.create(self.run_dir, {
+                "schema": SERVICE_MANIFEST_SCHEMA,
+                "version": __version__,
+                "created": clock(),
+            })
 
         self._jobs: dict[str, Job] = {}
         self._batches: dict[str, Batch] = {}
@@ -351,87 +396,19 @@ class JobManager:
         }
         self._restore()
 
-    # -- run-directory identity ---------------------------------------------
-
-    def _open_manifest(self) -> None:
-        path = self.run_dir / MANIFEST_NAME
-        if path.exists():
-            try:
-                with open(path, encoding="utf-8") as f:
-                    manifest = json.load(f)
-            except (OSError, ValueError) as exc:
-                raise ManifestCorruptError(
-                    f"manifest in {self.run_dir} is unreadable or "
-                    f"corrupt: {exc}") from exc
-            if (not isinstance(manifest, dict)
-                    or manifest.get("schema") != SERVICE_MANIFEST_SCHEMA):
-                got = manifest.get("schema") if isinstance(manifest, dict) \
-                    else type(manifest).__name__
-                raise ManifestMismatchError(
-                    f"run directory {self.run_dir} holds a {got!r} "
-                    f"manifest, not {SERVICE_MANIFEST_SCHEMA}")
-            self.manifest = manifest
-            self.resumed = True
-            return
-        from repro import __version__
-
-        self.manifest = {
-            "schema": SERVICE_MANIFEST_SCHEMA,
-            "version": __version__,
-            "created": self.clock(),
-        }
-        _write_atomic(path, json.dumps(self.manifest, indent=1,
-                                       sort_keys=True))
+    # -- crash recovery ------------------------------------------------------
 
     def _restore(self) -> None:
         """Rebuild the job table from the journal (crash recovery)."""
-        payloads, corrupt, torn = read_journal_lines(
-            self.run_dir / JOURNAL_NAME)
-        if corrupt:
-            obs.add("service.journal_corrupt_lines", corrupt)
-        if torn:
+        fold = self._journal.fold()
+        if fold.corrupt_lines:
+            obs.add("service.journal_corrupt_lines", fold.corrupt_lines)
+        if fold.torn_tail:
             obs.add("service.journal_torn_tail", 1)
-        for data in payloads:
-            kind = data.get("kind")
-            try:
-                if kind == "job-submitted":
-                    job = Job(
-                        job_id=data["job"],
-                        tenant=data["tenant"],
-                        sha256=data["sha256"],
-                        size_bytes=data["size"],
-                        tools=tuple(data["tools"]),
-                        submitted_at=data["at"],
-                    )
-                    self._jobs[job.job_id] = job
-                elif kind == "job-completed":
-                    job = self._jobs.get(data["job"])
-                    if job is None:
-                        continue
-                    job.analysis = ImageAnalysis.from_doc(data["analysis"])
-                    job.receipt = data["receipt"]
-                    job.status = JOB_DONE
-                    job.completed_at = data["at"]
-                elif kind in ("job-failed", "job-poisoned"):
-                    # Terminal failures: a restart must NOT re-enqueue
-                    # these — that is the whole point of journaling
-                    # them (poison jobs would otherwise kill workers
-                    # forever).
-                    job = self._jobs.get(data["job"])
-                    if job is None:
-                        continue
-                    job.status = JOB_FAILED
-                    job.error = data.get("error")
-                    job.completed_at = data["at"]
-                    if kind == "job-poisoned":
-                        job.poisoned = True
-                        job.crashes = data.get("crashes", 0)
-                        job.quarantined = data.get("quarantine")
-            except (KeyError, TypeError, ValueError):
-                obs.add("service.journal_corrupt_lines", 1)
-                continue
-        for job in self._jobs.values():
-            if job.status in (JOB_DONE, JOB_FAILED):
+        for job_id, entry in fold.entries.items():
+            job = self._jobs[job_id] = replace(entry.retryable,
+                                               **(entry.final or {}))
+            if entry.final is not None:
                 self.stats["restored"] += 1
                 continue
             job.resumed = True
@@ -822,21 +799,9 @@ class JobManager:
         job.error = None
         self.stats["completed"] += 1
         obs.add("service.jobs_completed", 1)
-        try:
-            self._journal.append({
-                "kind": "job-completed",
-                "job": job.job_id,
-                "analysis": analysis.to_doc(),
-                "receipt": job.receipt,
-                "at": job.completed_at,
-            })
-        except JournalWriteError as exc:
-            # The result stands in memory; only restart durability is
-            # degraded. Surface it rather than failing the job.
-            log.warn("service.journal_write_errors",
-                     f"job {job.job_id} completion not journaled: {exc}")
-            if _is_enospc(exc):
-                self._enter_degraded(f"storage full: {exc}")
+        self._journal_terminal("job-completed", job,
+                               analysis=analysis.to_doc(),
+                               receipt=job.receipt)
         self._release_batch(job)
 
     def _fail(self, job: Job, error: BaseException) -> None:
@@ -849,7 +814,7 @@ class JobManager:
         # does not re-run a job that can only fail the same way again;
         # transient failures stay un-journaled (retry on resume).
         if is_permanent_failure(error):
-            self._journal_terminal("job-failed", job,
+            self._journal_terminal("job-failed", job, error=job.error,
                                    error_type=type(error).__name__)
         self._release_batch(job)
 
@@ -885,29 +850,24 @@ class JobManager:
             if entry is not None:
                 job.quarantined = str(entry)
         self._journal_terminal(
-            "job-poisoned", job, error_type=type(error).__name__,
-            extra={"crashes": job.crashes, "quarantine": job.quarantined})
+            "job-poisoned", job, error=job.error,
+            error_type=type(error).__name__, crashes=job.crashes,
+            quarantine=job.quarantined)
         log.warn("service.poisoned_log",
                  f"job {job.job_id} poisoned after {job.crashes} worker "
                  f"losses; input quarantined at "
                  f"{job.quarantined or '<not captured>'}")
         self._release_batch(job)
 
-    def _journal_terminal(
-        self, kind: str, job: Job, *,
-        error_type: str, extra: dict | None = None,
-    ) -> None:
-        record = {
-            "kind": kind,
-            "job": job.job_id,
-            "error": job.error,
-            "error_type": error_type,
-            "at": job.completed_at,
-        }
-        if extra:
-            record.update(extra)
+    def _journal_terminal(self, kind: str, job: Job, **fields) -> None:
+        """Journal a job's terminal line.
+
+        A failed write leaves the result standing in memory: only
+        restart durability is degraded, so it is surfaced, not raised.
+        """
         try:
-            self._journal.append(record)
+            self._journal.append({"kind": kind, "job": job.job_id,
+                                  **fields, "at": job.completed_at})
         except JournalWriteError as exc:
             log.warn("service.journal_write_errors",
                      f"job {job.job_id} terminal {kind!r} record not "
@@ -934,14 +894,8 @@ class JobManager:
 
     def _write_blob(self, sha256: str, data: bytes) -> None:
         path = self._blob_path(sha256)
-        if path.is_file():
-            return
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "wb") as f:
-            f.write(data)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
+        if not path.is_file():
+            write_atomic(path, data)
 
     def _journal_submitted(self, job: Job) -> None:
         self._journal.append({

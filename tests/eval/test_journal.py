@@ -14,13 +14,13 @@ from repro.eval.isolation import PHASE_DETECT, FailureRecord
 from repro.eval.journal import (
     JOURNAL_NAME,
     RunJournal,
+    RunState,
     build_manifest,
     cell_key,
     check_manifest,
     corpus_fingerprint,
     entry_cell_key,
     merge_resumed_report,
-    read_journal,
 )
 from repro.eval.metrics import Confusion
 from repro.eval.runner import EvalReport, RunRecord
@@ -57,7 +57,7 @@ def test_append_and_read_roundtrip(tmp_path):
     journal.append_failure(failure)
     journal.close()
 
-    state = read_journal(tmp_path / "run")
+    state = RunJournal(tmp_path / "run").fold()
     assert state.records == [record]
     assert state.failures == [failure]
     assert not state.torn_tail
@@ -69,7 +69,7 @@ def test_failures_never_count_as_completed(tmp_path):
     journal = RunJournal.create(tmp_path / "run", _manifest())
     journal.append_failure(_failure())
     journal.close()
-    assert read_journal(tmp_path / "run").completed == set()
+    assert RunJournal(tmp_path / "run").fold().completed == set()
 
 
 def test_success_supersedes_journaled_failure(tmp_path):
@@ -77,7 +77,7 @@ def test_success_supersedes_journaled_failure(tmp_path):
     journal.append_failure(_failure())
     journal.append_record(_record())      # the resume healed it
     journal.close()
-    state = read_journal(tmp_path / "run")
+    state = RunJournal(tmp_path / "run").fold()
     assert state.failures == []
     assert len(state.records) == 1
 
@@ -87,7 +87,7 @@ def test_later_record_wins(tmp_path):
     journal.append_record(_record(tp=1))
     journal.append_record(_record(tp=9))
     journal.close()
-    state = read_journal(tmp_path / "run")
+    state = RunJournal(tmp_path / "run").fold()
     assert len(state.records) == 1
     assert state.records[0].confusion.tp == 9
 
@@ -101,7 +101,7 @@ def test_torn_tail_is_dropped_not_fatal(tmp_path):
     data = path.read_bytes()
     path.write_bytes(data[:-20])          # tear the last line mid-record
 
-    state = read_journal(tmp_path / "run")
+    state = RunJournal(tmp_path / "run").fold()
     assert state.torn_tail
     assert [r.program for r in state.records] == ["p0"]
 
@@ -116,7 +116,7 @@ def test_corrupt_interior_line_is_skipped_and_counted(tmp_path):
     lines[0] = lines[0][:-10] + "X" * 10  # flip bytes inside line 1
     path.write_text("\n".join(lines) + "\n")
 
-    state = read_journal(tmp_path / "run")
+    state = RunJournal(tmp_path / "run").fold()
     assert state.corrupt_lines == 1
     assert not state.torn_tail
     assert [r.program for r in state.records] == ["p1"]
@@ -130,11 +130,11 @@ def test_crc_rejects_payload_tampering(tmp_path):
     doc = json.loads(path.read_text())
     doc["data"]["tp"] = 999               # tamper without fixing the crc
     path.write_text(json.dumps(doc) + "\n")
-    assert read_journal(tmp_path / "run").records == []
+    assert RunJournal(tmp_path / "run").fold().records == []
 
 
 def test_missing_journal_reads_empty(tmp_path):
-    state = read_journal(tmp_path / "nowhere")
+    state = RunJournal(tmp_path / "nowhere").fold()
     assert state.records == [] and state.failures == []
 
 
@@ -175,7 +175,7 @@ def test_truncate_fault_leaves_a_real_torn_line(tmp_path):
     finally:
         faults.clear()
         journal.close()
-    state = read_journal(tmp_path / "run")
+    state = RunJournal(tmp_path / "run").fold()
     assert state.torn_tail
     assert [r.program for r in state.records] == ["p0"]
 
@@ -212,8 +212,9 @@ def test_merge_resumed_report_is_canonically_ordered(tiny_corpus):
 
     # Prior journal holds the *second* entry's cells; the resume run
     # produced the first entry's — merged output must be corpus order.
-    from repro.eval.journal import JournalState
-    prior = JournalState(records=[rec(corpus[1], t) for t in tools])
+    prior = RunState()
+    for tool in tools:
+        prior.add(rec(corpus[1], tool))
     fresh = EvalReport(records=[rec(corpus[0], t) for t in tools])
     merged = merge_resumed_report(corpus, tools, prior, fresh)
     assert [(r.program, r.tool) for r in merged.records] == [
@@ -226,7 +227,6 @@ def test_merge_fresh_outcome_supersedes_journal(tiny_corpus):
     entry = corpus[0]
     p = entry.profile
     tools = ["funseeker"]
-    from repro.eval.journal import JournalState
     journaled_failure = FailureRecord(
         suite=entry.suite, program=entry.program, compiler=p.compiler,
         bits=p.bits, pie=p.pie, opt=p.opt, tool="funseeker",
@@ -235,10 +235,10 @@ def test_merge_fresh_outcome_supersedes_journal(tiny_corpus):
         suite=entry.suite, program=entry.program, compiler=p.compiler,
         bits=p.bits, pie=p.pie, opt=p.opt, tool="funseeker",
         confusion=Confusion(tp=3), elapsed_seconds=0.0)
+    prior = RunState()
+    prior.add(journaled_failure)
     merged = merge_resumed_report(
-        corpus, tools,
-        JournalState(failures=[journaled_failure]),
-        EvalReport(records=[fresh_record]))
+        corpus, tools, prior, EvalReport(records=[fresh_record]))
     assert merged.failures == []
     assert merged.records == [fresh_record]
     assert entry_cell_key(entry, "funseeker") == cell_key(fresh_record)

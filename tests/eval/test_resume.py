@@ -19,7 +19,6 @@ from repro.eval.journal import (
     JOURNAL_NAME,
     RunJournal,
     build_manifest,
-    read_journal,
     merge_resumed_report,
 )
 from repro.eval.parallel import run_evaluation_parallel
@@ -66,7 +65,7 @@ def _faulted_then_resumed(tmp_path, corpus, plan, *, workers=1,
         path = run_dir / JOURNAL_NAME
         path.write_bytes(path.read_bytes()[:-tear_tail_bytes])
 
-    state = read_journal(run_dir)
+    state = RunJournal(run_dir).fold()
     resume_journal = RunJournal.resume(run_dir)
     try:
         fresh = run_evaluation_parallel(
@@ -186,7 +185,7 @@ def test_resume_skips_completed_cells(tmp_path, corpus):
                                 journal=journal)
     finally:
         journal.close()
-    state = read_journal(run_dir)
+    state = RunJournal(run_dir).fold()
     assert len(state.completed) == len(corpus)
     fresh = run_evaluation_parallel(corpus, TOOLS, workers=1,
                                     completed=state.completed)

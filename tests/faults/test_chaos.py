@@ -15,7 +15,9 @@ from repro.faults.chaos import (
     claim_work_dir,
     first_divergence,
     injected,
+    run_scenarios,
 )
+from repro.ingest.chaos import ScanDriver
 
 
 def test_first_divergence_names_the_deepest_differing_path():
@@ -109,6 +111,15 @@ def test_evaluate_scenario_fails_when_its_fault_never_fires(
     scenario = ChaosScenario("late-hang", "hang@cell.execute#99")
     report = eval_chaos.run_chaos(tiny_corpus[:1], ["funseeker"], tmp_path,
                                   scenarios=[scenario])
+    assert not report.ok
+    assert "the fault never fired" in report.results[0].detail
+
+
+@pytest.mark.parametrize("plan", ["kill@ingest.analyze#999",
+                                  "io@ingest.admit#999"])
+def test_scan_scenario_fails_when_its_fault_never_fires(tmp_path, plan):
+    scenario = ChaosScenario("never", plan, workers=2, timeout=1.0)
+    report = run_scenarios(ScanDriver(2022), tmp_path, [scenario])
     assert not report.ok
     assert "the fault never fired" in report.results[0].detail
 

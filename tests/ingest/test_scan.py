@@ -23,7 +23,7 @@ from repro.eval.breaker import CircuitBreaker
 from repro.eval.journal import read_journal_lines
 from repro.faults.chaos import CHAOS_BACKSTOP_GRACE
 from repro.ingest.fixtures import build_fixture_tree
-from repro.ingest.journal import read_scan_journal
+from repro.ingest.journal import ScanJournal
 from repro.ingest.pipeline import run_scan
 from repro.ingest.report import build_fleet_report, normalize_fleet_report
 
@@ -155,7 +155,7 @@ def test_journal_write_failure_aborts_resumably(tree, tmp_path):
             _scan(run_dir, tree, workers=1)
     finally:
         faults.clear()
-    state = read_scan_journal(run_dir)
+    state = ScanJournal(run_dir).fold()
     assert state.decided >= 1  # the pre-fault appends survived
 
 

@@ -130,3 +130,37 @@ class TestChaosCli:
                       f"pass a fresh one"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.txt"]
         assert keep.read_text() == "user data"
+
+    @pytest.mark.parametrize("driver", ["--ingest", "--service"])
+    @pytest.mark.parametrize("option", [["--scale", "full"], ["--limit", "1"]])
+    def test_fixed_input_drivers_refuse_scale_and_limit(
+            self, tmp_path, capsys, driver, option):
+        work_dir = tmp_path / "chaos"
+        rc = main(["chaos", driver, *option, "--work-dir", str(work_dir)])
+        assert rc == 2
+        err = capsys.readouterr().err.strip()
+        assert err == f"error: chaos {driver} does not take {option[0]}"
+        assert not work_dir.exists()
+
+    @pytest.mark.parametrize("driver", ["--ingest", "--service"])
+    def test_fixed_input_drivers_reject_unknown_tool(self, capsys, driver):
+        assert main(["chaos", driver, "--tools", "nope"]) == 2
+        assert "unknown detectors" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("driver", ["--ingest", "--service"])
+    def test_fixed_input_drivers_take_tools(self, tmp_path, monkeypatch,
+                                            capsys, driver):
+        from repro.faults import chaos
+
+        seen = []
+
+        def run_scenarios(driver, work_dir, scenarios=None):
+            seen.append(driver)
+            return chaos.ChaosReport(driver.title, driver.unit, 1, [
+                chaos.ScenarioResult("stub", "-", ok=True)])
+
+        monkeypatch.setattr(chaos, "run_scenarios", run_scenarios)
+        rc = main(["chaos", driver, "--tools", "funseeker",
+                   "--work-dir", str(tmp_path / "chaos")])
+        assert rc == 0
+        assert list(seen[0].tools) == ["funseeker"]

@@ -7,11 +7,13 @@ import json
 
 import pytest
 
+from repro import obs
 from repro.errors import (
     ManifestCorruptError,
     ManifestMismatchError,
     QueueFullError,
 )
+from repro.eval.journal import JournalFile
 from repro.service.jobs import (
     JOB_DONE,
     JOB_FAILED,
@@ -232,6 +234,39 @@ def test_corrupt_manifest_is_distinguished(tmp_path):
         json.dumps({"schema": "journal-manifest/v1"}), encoding="utf-8")
     with pytest.raises(ManifestMismatchError):
         JobManager(other)
+
+
+def test_non_object_manifest_is_corrupt(tmp_path):
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / "manifest.json").write_text("[]", encoding="utf-8")
+    with pytest.raises(ManifestCorruptError):
+        JobManager(run_dir)
+
+
+def test_restore_counts_every_unusable_journal_line(tmp_path):
+    run_dir = tmp_path / "run"
+    _run(JobManager(run_dir, tools=TOOLS).stop())
+    journal = JournalFile(run_dir / "journal.jsonl")
+    # An unknown kind, a well-formed terminal line for a job no
+    # job-submitted line opened (an orphan), and a field-less submit.
+    journal.append({"kind": "job-bogus", "job": "a" * 32, "at": 1.0})
+    journal.append({"kind": "job-completed", "job": "b" * 32,
+                    "analysis": {"sha256": "0" * 64, "size_bytes": 1},
+                    "receipt": {}, "at": 1.0})
+    journal.append({"kind": "job-submitted"})
+    journal.close()
+
+    recorder = obs.set_recorder(obs.CounterRecorder())
+    try:
+        manager = JobManager(run_dir, tools=TOOLS)
+    finally:
+        obs.set_recorder(None)
+    try:
+        assert recorder.counters.get("service.journal_corrupt_lines") == 3
+        assert manager.jobs() == []
+    finally:
+        _run(manager.stop())
 
 
 def test_invalid_tenant_and_tools_rejected(tmp_path):
