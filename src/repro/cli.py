@@ -1,51 +1,115 @@
-"""Command-line interface.
+"""Command-line interface: ``funseeker <command> ...``.
 
-::
-
-    funseeker identify <binary> [--config N] [--robust]
-    funseeker compare <binary>            # all detectors side by side
-    funseeker disasm <binary>             # annotated listing
-    funseeker cfg <binary>                # basic blocks + call graph
-    funseeker report <binary>             # JSON analysis + IBT audit
-    funseeker table1|table2|table3|figure3|errors|all [--scale S]
-    funseeker evaluate [--tools ...] [--format json|csv] [--output F]
-                       [--timeout S] [--retries N] [--fail-fast]
-                       [--cache-dir D] [--trace PATH]
-                       [--run-dir D | --resume D] [--retry-backoff S]
-                       [--breaker-threshold N] [--max-rss-mb M]
-                       [--fault-plan PLAN] [--quarantine D]
-    funseeker scan <root>... [--run-dir D | --resume D]
-                   [--tools ...] [--include G] [--exclude G]
-                   [--workers N] [--timeout S] [--max-rss-mb M]
-                   [--limit N] [--min-size B] [--max-size B]
-                   [--format json|table] [--fault-plan PLAN]
-    funseeker quarantine list|replay --dir D  # captured failing inputs
-    funseeker chaos [--scale S] [--seed N] [--ingest|--service]
-    funseeker serve --run-dir D [--host H] [--port P] [--cache-dir D]
-                    [--tools ...] [--queue-size N] [--workers N]
-                    [--rate R] [--burst B] [--timeout S]
-                    [--max-body-mb M]     # analysis job API
-    funseeker profile <binary> [--tools ...] [--trace PATH] [--json]
-    funseeker cache stats|clear [--cache-dir D]  # on-disk artifact cache
-    funseeker fuzz [--budget N] [--seed S]  # fault-injection harness
-    funseeker dataset <dir> [--scale S]   # persist the corpus
-    funseeker corpus-info [--scale S]     # §III-A dataset account
-    funseeker bti-demo                    # ARM BTI extension demo
-
-Also invocable as ``python -m repro``.
+Also invocable as ``python -m repro``; ``funseeker --help`` and
+``funseeker <command> --help`` list the surface, which
+:func:`build_parser` declares in one place. An option shared by several
+commands is declared once, in :data:`SHARED`, and a command takes only
+the options it honours, so argparse refuses any other with exit 2.
+A value or combination a command cannot honour raises
+:class:`UsageError`, which is exit 2 too. Handlers import their
+machinery lazily, so start-up stays cheap.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
+import os
 import sys
 
-from repro.baselines import ALL_DETECTORS
-from repro.core.funseeker import Config, FunSeeker
-from repro.elf.parser import ELFFile
+SCALES = ("tiny", "small", "full")
+EVALUATE_TOOLS = ("funseeker", "ida", "ghidra", "fetch")
+
+
+class UsageError(Exception):
+    """An option value or combination the command refuses (exit 2)."""
 
 
 def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        return args.handler(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # Output piped into a pager/head that exited early.
+        return 0
+
+
+# ---------------------------------------------------------------------------
+# The parser
+# ---------------------------------------------------------------------------
+
+
+def _bounded(kind, *, zero: bool = False):
+    """An argparse type: a finite ``kind`` above zero (or at least zero)."""
+    def parse(text: str):
+        value = kind(text)
+        if not (math.isfinite(value) and (value >= 0 if zero else value > 0)):
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not {'>= 0' if zero else '> 0'}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int"
+    return parse
+
+
+POSITIVE_INT = _bounded(int)
+POSITIVE_FLOAT = _bounded(float)
+COUNT = _bounded(int, zero=True)
+RATE = _bounded(float, zero=True)
+
+
+#: Every option that several commands take, declared once. A command
+#: names the ones it honours; ``set_defaults`` adjusts a default.
+SHARED = {
+    "binary": {},
+    "--seed": dict(type=int, default=2022,
+                   help="generator seed (default %(default)s)"),
+    "--scale": dict(default="tiny", choices=SCALES,
+                    help="synthetic corpus scale (default %(default)s)"),
+    "--tools": dict(help="comma-separated detector names (default: the "
+                         "command's own set)"),
+    "--cache-dir": dict(help="content-addressed analysis cache directory "
+                             "(default: $REPRO_CACHE_DIR, else none)"),
+    "--timeout": dict(type=POSITIVE_FLOAT,
+                      help="wall-clock seconds per analysis cell"),
+    "--workers": dict(type=POSITIVE_INT,
+                      help="worker count (evaluate and scan: the CPU count "
+                           "by default, 1 runs in-process; serve: 2)"),
+    "--max-rss-mb": dict(type=POSITIVE_INT, help="address-space ceiling "
+                                                 "per worker process, MiB"),
+    "--retries": dict(type=COUNT, default=0, help="extra attempts for a "
+                                                  "raising cell (default 0)"),
+    "--run-dir": dict(help="journal every decision into this fresh run "
+                           "directory (crash-safe, resumable)"),
+    "--resume": dict(metavar="RUN_DIR",
+                     help="resume a journaled run: keep decided work, retry "
+                          "journaled failures, refuse a mismatched manifest"),
+    "--fault-plan": dict(help="inject deterministic faults, e.g. "
+                              "'kill@cell.execute#5' (also "
+                              "$REPRO_FAULT_PLAN)"),
+    "--breaker-threshold": dict(type=COUNT, default=0,
+                                help="open a circuit after N consecutive "
+                                     "failures (default %(default)s)"),
+    "--trace": dict(help="write a JSONL observability trace (spans + "
+                         "counters) to PATH"),
+    "--limit": dict(type=COUNT, help="stop after N items (default "
+                                     "%(default)s; 0 = all)"),
+    "--output": dict(default="-", help="output path, '-' for stdout"),
+    "--dir": dict(dest="quarantine_dir", required=True,
+                  help="quarantine directory (evaluate --quarantine)"),
+    "--sha": dict(help="only the entry whose sha256 starts with this"),
+}
+CORPUS = ("--seed", "--scale")
+POOL = ("--timeout", "--workers", "--max-rss-mb")
+JOURNAL = ("--run-dir", "--resume")
+FAULTS = ("--fault-plan", "--breaker-threshold")
+STORE = ("--dir", "--sha")
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="funseeker",
         description="FunSeeker reproduction (DSN 2022): CET-aware "
@@ -53,343 +117,187 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_id = sub.add_parser("identify", help="identify functions in a binary")
-    p_id.add_argument("binary")
-    p_id.add_argument("--config", type=int, default=4, choices=[1, 2, 3, 4],
-                      help="FunSeeker configuration (Table II), default 4")
-    p_id.add_argument("--robust", action="store_true",
-                      help="use the superset-validated front end "
-                           "(tolerates data embedded in .text)")
+    def command(name, handler, help, *options, into=sub, **defaults):
+        p = into.add_parser(name, help=help, description=help)
+        for option in options:
+            p.add_argument(option, **SHARED[option])
+        p.set_defaults(handler=handler, **defaults)
+        return p
 
-    p_cfg = sub.add_parser(
-        "cfg", help="recover per-function CFGs and call-graph stats")
-    p_cfg.add_argument("binary")
+    p = command("identify", _cmd_identify, "identify functions in a binary",
+                "binary")
+    p.add_argument("--config", type=int, default=4, choices=[1, 2, 3, 4],
+                   help="FunSeeker configuration (Table II), default 4")
+    p.add_argument("--robust", action="store_true",
+                   help="use the superset-validated front end "
+                        "(tolerates data embedded in .text)")
+    command("cfg", _cmd_cfg,
+            "recover per-function CFGs and call-graph stats", "binary")
+    command("disasm", _cmd_disasm, "linear-sweep disassembly listing of "
+            ".text", "binary", "--limit", limit=80)
+    command("compare", _cmd_compare, "run all detectors on a binary",
+            "binary")
+    command("report", _cmd_report,
+            "machine-readable JSON analysis of one binary", "binary")
+    for name in ("table1", "table2", "table3", "figure3", "errors", "all"):
+        command(name, _cmd_table,
+                f"regenerate the paper's {name} on a synthetic corpus",
+                *CORPUS, "--cache-dir")
+    command("bti-demo", _cmd_bti_demo,
+            "ARM BTI extension demonstration (§VI)")
+    command("dataset", _cmd_dataset,
+            "generate and save the benchmark dataset to disk",
+            *CORPUS).add_argument("directory")
+    command("corpus-info", _cmd_corpus_info,
+            "summarize the synthetic corpus composition", *CORPUS)
 
-    p_dis = sub.add_parser(
-        "disasm", help="linear-sweep disassembly listing of .text")
-    p_dis.add_argument("binary")
-    p_dis.add_argument("--limit", type=int, default=80,
-                       help="max lines to print (default 80; 0 = all)")
+    p = command("evaluate", _cmd_evaluate,
+                "run detectors over the corpus and export raw results",
+                *CORPUS, "--tools", "--cache-dir", *POOL, "--retries",
+                *JOURNAL, *FAULTS, "--trace", "--output")
+    p.add_argument("--format", default="json", choices=["json", "csv"])
+    p.add_argument("--fail-fast", action="store_true",
+                   help="abort the sweep on the first failed cell "
+                        "(default: keep going and report failures)")
+    p.add_argument("--quarantine", metavar="DIR",
+                   help="capture failing inputs (stripped image + "
+                        "failure metadata) into DIR for replay")
 
-    p_cmp = sub.add_parser("compare", help="run all detectors on a binary")
-    p_cmp.add_argument("binary")
+    p = command("scan", _cmd_scan,
+                "fleet-scan real-world binaries under directory roots: "
+                "triage, degradation-ladder analysis, crash-safe journal, "
+                "CET adoption + tool-agreement fleet report",
+                "--tools", *POOL, *JOURNAL, *FAULTS, "--limit", "--output",
+                breaker_threshold=5)
+    p.add_argument("--format", default="table", choices=["table", "json"])
+    p.add_argument("roots", nargs="*",
+                   help="directories (or files) to scan; omit when "
+                        "resuming (the journal remembers them)")
+    p.add_argument("--include", action="append", default=[], metavar="GLOB",
+                   help="only scan entries matching this fnmatch glob "
+                        "(repeatable; name or relative path)")
+    p.add_argument("--exclude", action="append", default=[], metavar="GLOB",
+                   help="skip entries matching this glob (repeatable; "
+                        "prunes whole directories)")
 
-    p_rep = sub.add_parser(
-        "report", help="machine-readable JSON analysis of one binary")
-    p_rep.add_argument("binary")
+    command("profile", _cmd_profile,
+            "per-phase timing and counter profile of one binary",
+            "binary", "--tools", "--trace").add_argument(
+        "--json", action="store_true",
+        help="machine-readable summary instead of a table")
 
-    for name in ("table1", "table2", "table3", "figure3", "errors",
-                 "all"):
-        p_tab = sub.add_parser(
-            name, help=f"regenerate the paper's {name} on a synthetic corpus"
-        )
-        p_tab.add_argument("--scale", default="tiny",
-                           choices=["tiny", "small", "full"])
-        p_tab.add_argument("--seed", type=int, default=2022)
-        p_tab.add_argument("--cache-dir", default=None,
-                           help="content-addressed analysis cache "
-                                "directory (default: off, or "
-                                "$REPRO_CACHE_DIR)")
+    command("cache", _cmd_cache,
+            "inspect or clear the on-disk analysis-artifact cache "
+            "(default .repro-cache)", "--cache-dir").add_argument(
+        "action", choices=["stats", "clear"])
 
-    sub.add_parser("bti-demo", help="ARM BTI extension demonstration (§VI)")
+    p = command("fuzz", _cmd_fuzz,
+                "fault-injection harness: mutate synthesized ELFs and "
+                "assert no uncaught exception / hang / silent degradation",
+                "--seed", "--timeout")
+    p.add_argument("--budget", type=POSITIVE_INT, default=500,
+                   help="number of mutants (default 500)")
+    p.add_argument("--families",
+                   help="comma-separated mutator families (default: all)")
 
-    p_ds = sub.add_parser(
-        "dataset", help="generate and save the benchmark dataset to disk")
-    p_ds.add_argument("directory")
-    p_ds.add_argument("--scale", default="tiny",
-                      choices=["tiny", "small", "full"])
-    p_ds.add_argument("--seed", type=int, default=2022)
+    actions = command(
+        "quarantine", _cmd_quarantine,
+        "inspect or replay inputs captured from failing cells",
+    ).add_subparsers(dest="action", required=True)
+    command("list", _cmd_quarantine, "list the captured inputs", *STORE,
+            into=actions)
+    command("replay", _cmd_quarantine,
+            "re-run each captured input's failing cells", *STORE,
+            "--timeout", into=actions, timeout=30.0)
 
-    p_info = sub.add_parser(
-        "corpus-info", help="summarize the synthetic corpus composition")
-    p_info.add_argument("--scale", default="tiny",
-                        choices=["tiny", "small", "full"])
-    p_info.add_argument("--seed", type=int, default=2022)
+    p = command("chaos", _cmd_chaos,
+                "crash-safety acceptance: run seeded fault scenarios and "
+                "assert every run resumes to the fault-free report",
+                *CORPUS, "--tools", "--limit", scale=None)
+    p.add_argument("--work-dir",
+                   help="keep run directories here for post-mortem "
+                        "(default: a temp dir, removed on success)")
+    drivers = p.add_mutually_exclusive_group()
+    drivers.add_argument("--ingest", action="store_true",
+                         help="the fleet-scan scenarios over a hostile "
+                              "fixture tree instead of evaluate's")
+    drivers.add_argument("--service", action="store_true",
+                         help="the analysis-service scenarios instead of "
+                              "evaluate's")
 
-    p_ev = sub.add_parser(
-        "evaluate",
-        help="run detectors over the corpus and export raw results")
-    p_ev.add_argument("--scale", default="tiny",
-                      choices=["tiny", "small", "full"])
-    p_ev.add_argument("--seed", type=int, default=2022)
-    p_ev.add_argument("--tools", default="funseeker,ida,ghidra,fetch",
-                      help="comma-separated detector names")
-    p_ev.add_argument("--format", default="json",
-                      choices=["json", "csv"])
-    p_ev.add_argument("--workers", type=int, default=None,
-                      help="process-pool size (default: CPU count)")
-    p_ev.add_argument("--timeout", type=float, default=None,
-                      help="wall-clock seconds per (binary, tool) cell")
-    p_ev.add_argument("--retries", type=int, default=0,
-                      help="extra attempts for a raising cell")
-    p_ev.add_argument("--fail-fast", action="store_true",
-                      help="abort the sweep on the first failed cell "
-                           "(default: keep going and report failures)")
-    p_ev.add_argument("--output", default="-",
-                      help="output path, '-' for stdout")
-    p_ev.add_argument("--cache-dir", default=None,
-                      help="content-addressed analysis cache directory "
-                           "(default: off, or $REPRO_CACHE_DIR)")
-    p_ev.add_argument("--trace", default=None,
-                      help="write a JSONL observability trace (spans + "
-                           "counters, merged across workers) to PATH")
-    p_ev.add_argument("--run-dir", default=None,
-                      help="journal every decided cell into this fresh "
-                           "run directory (crash-safe, resumable)")
-    p_ev.add_argument("--resume", default=None, metavar="RUN_DIR",
-                      help="resume a journaled run: skip completed "
-                           "cells, retry journaled failures, refuse a "
-                           "mismatched manifest")
-    p_ev.add_argument("--retry-backoff", type=float, default=0.0,
-                      help="base seconds for exponential backoff "
-                           "between retry attempts (default 0: none)")
-    p_ev.add_argument("--breaker-threshold", type=int, default=0,
-                      help="open a per-tool circuit after N consecutive "
-                           "detect failures (default 0: breaker off)")
-    p_ev.add_argument("--breaker-cooldown", type=int, default=10,
-                      help="skipped cells before a half-open probe "
-                           "(default 10)")
-    p_ev.add_argument("--max-rss-mb", type=int, default=None,
-                      help="address-space ceiling per worker, MiB "
-                           "(overruns become MemoryError failures)")
-    p_ev.add_argument("--fault-plan", default=None,
-                      help="inject deterministic faults, e.g. "
-                           "'io@cache.get#3,kill@cell.execute#5' "
-                           "(also $REPRO_FAULT_PLAN)")
-    p_ev.add_argument("--quarantine", default=None, metavar="DIR",
-                      help="capture failing inputs (stripped image + "
-                           "failure metadata) into DIR for replay")
-
-    p_sc = sub.add_parser(
-        "scan",
-        help="fleet-scan real-world binaries under directory roots: "
-             "triage, degradation-ladder analysis, crash-safe journal, "
-             "CET adoption + tool-agreement fleet report")
-    p_sc.add_argument("roots", nargs="*",
-                      help="directories (or files) to scan; omit when "
-                           "resuming (the journal remembers them)")
-    p_sc.add_argument("--run-dir", default=None,
-                      help="journal every decision into this fresh run "
-                           "directory (crash-safe, resumable; default: "
-                           "a temp dir discarded after the report)")
-    p_sc.add_argument("--resume", default=None, metavar="RUN_DIR",
-                      help="resume a journaled scan: keep decided "
-                           "paths, retry journaled failures, refuse a "
-                           "mismatched manifest")
-    p_sc.add_argument("--tools", default=None,
-                      help="comma-separated detector names (default "
-                           "funseeker,naive-endbr)")
-    p_sc.add_argument("--include", action="append", default=[],
-                      metavar="GLOB",
-                      help="only scan entries matching this fnmatch "
-                           "glob (repeatable; name or relative path)")
-    p_sc.add_argument("--exclude", action="append", default=[],
-                      metavar="GLOB",
-                      help="skip entries matching this glob "
-                           "(repeatable; prunes whole directories)")
-    p_sc.add_argument("--workers", type=int, default=None,
-                      help="process-pool size (default: CPU count; "
-                           "1 = in-process)")
-    p_sc.add_argument("--timeout", type=float, default=None,
-                      help="wall-clock seconds per ladder rung")
-    p_sc.add_argument("--max-rss-mb", type=int, default=None,
-                      help="address-space ceiling per worker, MiB")
-    p_sc.add_argument("--limit", type=int, default=None,
-                      help="stop after admitting N binaries")
-    p_sc.add_argument("--min-size", type=int, default=None,
-                      help="admission policy: smallest file to analyze")
-    p_sc.add_argument("--max-size", type=int, default=None,
-                      help="admission policy: largest file to analyze")
-    p_sc.add_argument("--no-follow-symlinks", action="store_true",
-                      help="report symlinks as skips instead of "
-                           "resolving them")
-    p_sc.add_argument("--format", default="table",
-                      choices=["table", "json"])
-    p_sc.add_argument("--output", default="-",
-                      help="report path, '-' for stdout")
-    p_sc.add_argument("--breaker-threshold", type=int, default=5,
-                      help="open a directory's circuit after N "
-                           "consecutive analysis losses (default 5)")
-    p_sc.add_argument("--fault-plan", default=None,
-                      help="inject deterministic faults, e.g. "
-                           "'kill@ingest.analyze#3' "
-                           "(also $REPRO_FAULT_PLAN)")
-    p_sc.add_argument("--no-quarantine", action="store_true",
-                      help="do not capture quarantined binaries into "
-                           "the run directory")
-
-    p_pf = sub.add_parser(
-        "profile",
-        help="per-phase timing and counter profile of one binary")
-    p_pf.add_argument("binary")
-    p_pf.add_argument("--tools", default="funseeker",
-                      help="comma-separated detector names "
-                           "(default funseeker)")
-    p_pf.add_argument("--trace", default=None,
-                      help="write the JSONL observability trace to PATH")
-    p_pf.add_argument("--json", action="store_true",
-                      help="machine-readable summary instead of a table")
-
-    p_ca = sub.add_parser(
-        "cache",
-        help="inspect or clear the on-disk analysis-artifact cache")
-    p_ca.add_argument("action", choices=["stats", "clear"])
-    p_ca.add_argument("--cache-dir", default=".repro-cache",
-                      help="cache directory (default .repro-cache)")
-
-    p_fz = sub.add_parser(
-        "fuzz",
-        help="fault-injection harness: mutate synthesized ELFs and "
-             "assert no uncaught exception / hang / silent degradation")
-    p_fz.add_argument("--budget", type=int, default=500,
-                      help="number of mutants (default 500)")
-    p_fz.add_argument("--seed", type=int, default=2022)
-    p_fz.add_argument("--families", default=None,
-                      help="comma-separated mutator families "
-                           "(default: all)")
-    p_fz.add_argument("--timeout", type=float, default=None,
-                      help="wall-clock seconds per pipeline run "
-                           "(default 5)")
-
-    p_qr = sub.add_parser(
-        "quarantine",
-        help="inspect or replay inputs captured from failing cells")
-    p_qr.add_argument("action", choices=["list", "replay"])
-    p_qr.add_argument("--dir", dest="quarantine_dir", required=True,
-                      help="quarantine directory (evaluate --quarantine)")
-    p_qr.add_argument("--sha", default=None,
-                      help="only the entry whose sha256 starts with this")
-    p_qr.add_argument("--timeout", type=float, default=30.0,
-                      help="watchdog seconds per replayed cell "
-                           "(default 30)")
-
-    p_ch = sub.add_parser(
-        "chaos",
-        help="crash-safety acceptance: run seeded fault scenarios "
-             "(worker kill, torn journal, corrupted cache, disk full, "
-             "cell hang) and assert every run resumes to the "
-             "fault-free report")
-    p_ch.add_argument("--scale", choices=["tiny", "small", "full"],
-                      help="evaluate corpus scale (default tiny)")
-    p_ch.add_argument("--seed", type=int, default=2022)
-    p_ch.add_argument("--tools", help="comma-separated detector names "
-                                      "(default: the driver's own)")
-    p_ch.add_argument("--limit", type=int,
-                      help="evaluate corpus entries (default 6; 0 = all)")
-    p_ch.add_argument("--work-dir", default=None,
-                      help="keep run directories here for post-mortem "
-                           "(default: a temp dir, removed on success)")
-    p_ch.add_argument("--ingest", action="store_true",
-                      help="run the fleet-scan ingest scenarios "
-                           "(worker kill mid-ladder, triage I/O fault) "
-                           "over a hostile fixture tree instead of the "
-                           "evaluation scenarios")
-    p_ch.add_argument("--service", action="store_true",
-                      help="run the analysis-service scenarios: SIGKILL "
-                           "restart-resume, supervised hang backstop, "
-                           "poison-job quarantine, and disk-full "
-                           "read-only degradation + recovery")
-
-    p_sv = sub.add_parser(
-        "serve",
-        help="run the analysis job API: POST binaries, poll jobs, "
-             "fetch per-tool entry reports with provenance receipts")
-    p_sv.add_argument("--run-dir", required=True,
-                      help="journal + blob directory; restarting on the "
-                           "same directory resumes in-flight jobs")
-    p_sv.add_argument("--host", default="127.0.0.1")
-    p_sv.add_argument("--port", type=int, default=0,
-                      help="TCP port (default 0 = OS-assigned; the "
-                           "bound address is printed and written to "
-                           "address.json in the run dir)")
-    p_sv.add_argument("--cache-dir", default=None,
-                      help="root of per-tenant cache namespaces "
-                           "(default: the process default cache)")
-    p_sv.add_argument("--tools", default="",
-                      help="comma-separated default detector set "
-                           "(default: all detectors)")
-    p_sv.add_argument("--queue-size", type=int, default=64,
-                      help="bounded job queue depth (default 64); a "
-                           "full queue answers 429 + Retry-After")
-    p_sv.add_argument("--workers", type=int, default=2,
-                      help="analysis executor threads (default 2)")
-    p_sv.add_argument("--rate", type=float, default=0.0,
-                      help="per-tenant submissions/second "
-                           "(default 0 = unlimited)")
-    p_sv.add_argument("--burst", type=float, default=None,
-                      help="per-tenant burst size (default: --rate)")
-    p_sv.add_argument("--timeout", type=float, default=None,
-                      help="wall-clock seconds per analysis phase")
-    p_sv.add_argument("--retries", type=int, default=0,
-                      help="extra attempts for a raising analysis cell")
-    p_sv.add_argument("--max-body-mb", type=int, default=64,
-                      help="largest accepted submission (default 64)")
-    p_sv.add_argument("--isolation", default="process",
-                      choices=["process", "thread"],
-                      help="run analysis cells in supervised worker "
-                           "subprocesses (default) or in-process "
-                           "threads; only subprocesses get enforced "
-                           "deadlines and crash containment")
-    p_sv.add_argument("--backstop", type=float, default=30.0,
-                      help="seconds past a job's budget before the "
-                           "supervisor kills the worker outright "
-                           "(process isolation only; default 30)")
-    p_sv.add_argument("--poison-threshold", type=int, default=3,
-                      help="worker losses on one job before it is "
-                           "poisoned and quarantined (default 3)")
-    p_sv.add_argument("--max-rss-mb", type=int, default=None,
-                      help="RLIMIT_AS for each worker subprocess in MiB "
-                           "(default: unlimited)")
-    p_sv.add_argument("--probe-interval", type=float, default=30.0,
-                      help="seconds between write probes while the "
-                           "service is degraded read-only (default 30)")
-
-    args = parser.parse_args(argv)
-    try:
-        return _dispatch(args)
-    except BrokenPipeError:
-        # Output piped into a pager/head that exited early.
-        return 0
+    p = command("serve", _cmd_serve,
+                "run the analysis job API: POST binaries, poll jobs, "
+                "fetch per-tool entry reports with provenance receipts",
+                "--tools", "--cache-dir", *POOL, "--retries", workers=2)
+    p.add_argument("--run-dir", required=True,
+                   help="journal + blob directory; restarting on the "
+                        "same directory resumes in-flight jobs")
+    p.add_argument("--host", default="127.0.0.1")
+    p.add_argument("--port", type=int, default=0,
+                   help="TCP port (default 0 = OS-assigned; the bound "
+                        "address is printed and written to address.json)")
+    p.add_argument("--queue-size", type=POSITIVE_INT, default=64,
+                   help="bounded job queue depth (default 64); a full "
+                        "queue answers 429 + Retry-After")
+    p.add_argument("--rate", type=RATE, default=0.0,
+                   help="per-tenant submissions/second (default 0 = "
+                        "unlimited)")
+    p.add_argument("--burst", type=POSITIVE_FLOAT,
+                   help="per-tenant burst size (default: --rate); needs "
+                        "--rate")
+    p.add_argument("--max-body-mb", type=POSITIVE_INT, default=64,
+                   help="largest accepted submission (default 64)")
+    p.add_argument("--isolation", default="process",
+                   choices=["process", "thread"],
+                   help="run analysis cells in supervised worker "
+                        "subprocesses (default) or in-process threads")
+    p.add_argument("--backstop", type=POSITIVE_FLOAT,
+                   help="seconds past a job's budget before the supervisor "
+                        "kills the worker (process isolation; default 30)")
+    p.add_argument("--poison-threshold", type=POSITIVE_INT, default=3,
+                   help="worker losses on one job before it is poisoned "
+                        "and quarantined (default 3)")
+    p.add_argument("--probe-interval", type=POSITIVE_FLOAT, default=30.0,
+                   help="seconds between write probes while the service "
+                        "is degraded read-only (default 30)")
+    return parser
 
 
-def _dispatch(args) -> int:
-    if args.command == "identify":
-        return _cmd_identify(args)
-    if args.command == "compare":
-        return _cmd_compare(args)
-    if args.command == "cfg":
-        return _cmd_cfg(args)
-    if args.command == "disasm":
-        return _cmd_disasm(args)
-    if args.command == "bti-demo":
-        return _cmd_bti_demo()
-    if args.command == "dataset":
-        return _cmd_dataset(args)
-    if args.command == "corpus-info":
-        return _cmd_corpus_info(args)
-    if args.command == "report":
-        return _cmd_report(args)
-    if args.command == "evaluate":
-        return _cmd_evaluate(args)
-    if args.command == "scan":
-        return _cmd_scan(args)
-    if args.command == "profile":
-        return _cmd_profile(args)
-    if args.command == "cache":
-        return _cmd_cache(args)
-    if args.command == "fuzz":
-        return _cmd_fuzz(args)
-    if args.command == "quarantine":
-        return _cmd_quarantine(args)
-    if args.command == "chaos":
-        return _cmd_chaos(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    return _cmd_table(args)
+# ---------------------------------------------------------------------------
+# Steps shared by the handlers
+# ---------------------------------------------------------------------------
 
 
-def _configure_cache(cache_dir: str | None) -> None:
+def _split_csv(text: str) -> list[str]:
+    return [t.strip() for t in text.split(",") if t.strip()]
+
+
+def _tools(args, default: tuple[str, ...] | None) -> list[str] | None:
+    """``--tools`` as a list of known detectors, else ``default``."""
+    from repro.baselines import ALL_DETECTORS
+
+    if args.tools is None:
+        return None if default is None else list(default)
+    tools = _split_csv(args.tools)
+    if not tools:
+        raise UsageError("--tools names no detector")
+    unknown = [t for t in tools if t not in ALL_DETECTORS]
+    if unknown:
+        raise UsageError(f"unknown detectors: {unknown} "
+                         f"(known: {sorted(ALL_DETECTORS)})")
+    return tools
+
+
+def _cache_dir(args, fallback: str | None = None) -> str | None:
+    """``--cache-dir``, else ``$REPRO_CACHE_DIR``, else ``fallback``."""
+    from repro.cache.disk import ENV_CACHE_DIR
+
+    return args.cache_dir or os.environ.get(ENV_CACHE_DIR) or fallback
+
+
+def _configure_cache(args) -> None:
     """Opt the process into the disk cache when a directory is given."""
+    cache_dir = _cache_dir(args)
     if cache_dir:
         from pathlib import Path
 
@@ -398,17 +306,35 @@ def _configure_cache(cache_dir: str | None) -> None:
         set_default_cache(DiskCache(Path(cache_dir)))
 
 
-def _split_csv(text: str) -> list[str]:
-    return [t.strip() for t in text.split(",") if t.strip()]
+def _journal_dir(args) -> str | None:
+    """The ``--resume`` or ``--run-dir`` directory; never both."""
+    if args.run_dir and args.resume:
+        raise UsageError("--run-dir starts a fresh journal, --resume "
+                         "continues one; pass exactly one of them")
+    return args.resume or args.run_dir
 
 
-def _unknown_tools(tools) -> bool:
-    """Print an error naming unknown detectors; true if there were any."""
-    unknown = [t for t in tools or () if t not in ALL_DETECTORS]
-    if unknown:
-        print(f"error: unknown detectors: {unknown} "
-              f"(known: {sorted(ALL_DETECTORS)})", file=sys.stderr)
-    return bool(unknown)
+def _breaker(args):
+    """A circuit breaker opening at ``--breaker-threshold``; none at 0."""
+    from repro.eval.breaker import CircuitBreaker
+
+    n = args.breaker_threshold
+    return CircuitBreaker(threshold=n) if n else None
+
+
+def _check_pool(args) -> None:
+    if args.max_rss_mb is not None and args.workers == 1:
+        raise UsageError("--max-rss-mb limits worker processes, and "
+                         "--workers 1 runs in-process")
+
+
+def _write_output(text: str, output: str) -> None:
+    if output == "-":
+        print(text)
+        return
+    with open(output, "w") as f:
+        f.write(text)
+    print(f"wrote {output}", file=sys.stderr)
 
 
 def _run_dir_failure(exc, work: str, run_dir) -> int:
@@ -442,16 +368,22 @@ def _run_dir_failure(exc, work: str, run_dir) -> int:
     return 2
 
 
+# ---------------------------------------------------------------------------
+# Handlers
+# ---------------------------------------------------------------------------
+
+
 def _cmd_cache(args) -> int:
     import json
     from pathlib import Path
 
     from repro.cache import DiskCache
 
-    cache = DiskCache(Path(args.cache_dir))
+    root = _cache_dir(args, ".repro-cache")
+    cache = DiskCache(Path(root))
     if args.action == "clear":
         removed = cache.clear()
-        print(f"removed {removed} entries from {args.cache_dir}")
+        print(f"removed {removed} entries from {root}")
         return 0
     print(json.dumps(cache.census(), indent=1))
     return 0
@@ -460,10 +392,10 @@ def _cmd_cache(args) -> int:
 def _cmd_evaluate(args) -> int:
     import shutil
     import tempfile
+    from pathlib import Path
 
     from repro import faults, obs
     from repro.errors import EvaluationAborted, JournalError
-    from repro.eval.breaker import CircuitBreaker
     from repro.eval.export import report_to_csv, report_to_json
     from repro.eval.journal import (
         RunJournal,
@@ -471,19 +403,15 @@ def _cmd_evaluate(args) -> int:
         check_manifest,
         merge_resumed_report,
     )
-    from repro.eval.parallel import run_evaluation_parallel
+    from repro.eval.parallel import flush_trace_part, run_evaluation_parallel
     from repro.eval.quarantine import QuarantineStore
     from repro.eval.tables import failure_summary
     from repro.synth.corpus import build_corpus
 
-    if args.run_dir and args.resume:
-        print("error: --run-dir starts a fresh journal, --resume "
-              "continues one; pass exactly one of them", file=sys.stderr)
-        return 2
-    tools = _split_csv(args.tools)
-    if _unknown_tools(tools):
-        return 2
-    _configure_cache(args.cache_dir)
+    run_dir = _journal_dir(args)
+    _check_pool(args)
+    tools = _tools(args, EVALUATE_TOOLS)
+    _configure_cache(args)
     if args.fault_plan:
         faults.install(args.fault_plan)
     trace_dir = None
@@ -515,10 +443,6 @@ def _cmd_evaluate(args) -> int:
                                retries=args.retries))
     except JournalError as exc:
         return _run_dir_failure(exc, "sweep", args.resume)
-    breaker = None
-    if args.breaker_threshold > 0:
-        breaker = CircuitBreaker(threshold=args.breaker_threshold,
-                                 cooldown=args.breaker_cooldown)
     quarantine = (QuarantineStore(args.quarantine)
                   if args.quarantine else None)
 
@@ -532,10 +456,9 @@ def _cmd_evaluate(args) -> int:
             retries=args.retries,
             keep_going=not args.fail_fast,
             trace_dir=trace_dir,
-            backoff=args.retry_backoff,
             journal=journal,
             completed=completed,
-            breaker=breaker,
+            breaker=_breaker(args),
             quarantine=quarantine,
             max_rss_mb=args.max_rss_mb,
         )
@@ -543,26 +466,25 @@ def _cmd_evaluate(args) -> int:
         print(f"aborted (--fail-fast): {exc}", file=sys.stderr)
         return 2
     except JournalError as exc:
-        return _run_dir_failure(exc, "sweep", args.resume or args.run_dir)
+        return _run_dir_failure(exc, "sweep", run_dir)
     finally:
         if journal is not None:
             journal.close()
         if args.fault_plan:
             faults.clear()
         if trace_dir is not None:
-            _export_eval_trace(args.trace, trace_dir)
+            flush_trace_part(trace_dir)  # the parent's own spans
+            parts = sorted(Path(trace_dir).glob("*.jsonl"))
+            trace = obs.merge_traces(args.trace, parts)
+            print(f"wrote trace {args.trace} ({len(trace.spans)} spans, "
+                  f"{len(trace.counters)} counters, {len(parts)} part "
+                  f"files)", file=sys.stderr)
             obs.set_recorder(None)
             shutil.rmtree(trace_dir, ignore_errors=True)
     if prior is not None:
         report = merge_resumed_report(corpus, tools, prior, report)
-    text = (report_to_json(report) if args.format == "json"
-            else report_to_csv(report))
-    if args.output == "-":
-        print(text)
-    else:
-        with open(args.output, "w") as f:
-            f.write(text)
-        print(f"wrote {args.output}", file=sys.stderr)
+    _write_output(report_to_json(report) if args.format == "json"
+                  else report_to_csv(report), args.output)
     if report.failures:
         print(failure_summary(report), file=sys.stderr)
         return 1
@@ -576,43 +498,24 @@ def _cmd_scan(args) -> int:
 
     from repro import faults
     from repro.errors import JournalError
-    from repro.eval.breaker import CircuitBreaker
-    from repro.ingest import (
-        AdmissionPolicy,
-        build_fleet_report,
-        render_fleet_table,
-        run_scan,
-    )
+    from repro.ingest import build_fleet_report, render_fleet_table, run_scan
 
-    if args.run_dir and args.resume:
-        print("error: --run-dir starts a fresh journal, --resume "
-              "continues one; pass exactly one of them", file=sys.stderr)
-        return 2
+    run_dir = _journal_dir(args)
     if not args.resume and not args.roots:
-        print("error: a fresh scan needs at least one root "
-              "(or --resume RUN_DIR)", file=sys.stderr)
-        return 2
-    tools = None if args.tools is None else _split_csv(args.tools)
-    if _unknown_tools(tools):
-        return 2
-    policy = AdmissionPolicy()
-    if args.min_size is not None or args.max_size is not None:
-        policy = AdmissionPolicy(
-            min_size=(args.min_size if args.min_size is not None
-                      else policy.min_size),
-            max_size=(args.max_size if args.max_size is not None
-                      else policy.max_size))
+        raise UsageError("a fresh scan needs at least one root "
+                         "(or --resume RUN_DIR)")
+    _check_pool(args)
+    if not args.breaker_threshold:
+        raise UsageError("scan's per-directory breaker cannot be turned "
+                         "off; --breaker-threshold must be > 0")
+    tools = _tools(args, None)
     if args.fault_plan:
         faults.install(args.fault_plan)
 
     temp_run = None
-    run_dir = args.resume or args.run_dir
     if run_dir is None:
         temp_run = tempfile.mkdtemp(prefix="repro-scan-")
         run_dir = f"{temp_run}/run"
-    breaker = None
-    if args.breaker_threshold > 0:
-        breaker = CircuitBreaker(threshold=args.breaker_threshold)
     try:
         result = run_scan(
             run_dir,
@@ -621,20 +524,16 @@ def _cmd_scan(args) -> int:
             resume=bool(args.resume),
             include=tuple(args.include),
             exclude=tuple(args.exclude),
-            policy=policy,
-            follow_symlinks=not args.no_follow_symlinks,
             workers=args.workers,
             timeout=args.timeout,
             max_rss_mb=args.max_rss_mb,
-            limit=args.limit,
-            breaker=breaker,
-            quarantine=not args.no_quarantine,
+            limit=args.limit or None,
+            breaker=_breaker(args),
         )
     except JournalError as exc:
         return _run_dir_failure(exc, "scan", run_dir)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(exc) from None
     finally:
         if args.fault_plan:
             faults.clear()
@@ -645,14 +544,9 @@ def _cmd_scan(args) -> int:
           f"{stats.resumed} already decided, "
           f"{stats.lost_workers} workers lost", file=sys.stderr)
     report = build_fleet_report(result.state, result.manifest)
-    text = (json.dumps(report, indent=1, sort_keys=True)
-            if args.format == "json" else render_fleet_table(report))
-    if args.output == "-":
-        print(text)
-    else:
-        with open(args.output, "w") as f:
-            f.write(text)
-        print(f"wrote {args.output}", file=sys.stderr)
+    _write_output(json.dumps(report, indent=1, sort_keys=True)
+                  if args.format == "json" else render_fleet_table(report),
+                  args.output)
     if result.state.failures:
         print(f"{len(result.state.failures)} path(s) left retryable "
               f"failure records; re-run with --resume {run_dir} to "
@@ -663,25 +557,6 @@ def _cmd_scan(args) -> int:
     if temp_run is not None:
         shutil.rmtree(temp_run, ignore_errors=True)
     return 0
-
-
-def _export_eval_trace(out_path: str, trace_dir: str) -> None:
-    """Flush the parent recorder and merge all part files into one trace."""
-    import os
-    from pathlib import Path
-
-    from repro import obs
-
-    recorder = obs.recorder()
-    if recorder.enabled:
-        obs.append_payload(
-            Path(trace_dir) / f"worker-{os.getpid()}.jsonl",
-            recorder.drain())
-    parts = sorted(Path(trace_dir).glob("*.jsonl"))
-    trace = obs.merge_traces(out_path, parts)
-    print(f"wrote trace {out_path} ({len(trace.spans)} spans, "
-          f"{len(trace.counters)} counters, {len(parts)} part files)",
-          file=sys.stderr)
 
 
 def _cmd_quarantine(args) -> int:
@@ -724,24 +599,32 @@ def _cmd_serve(args) -> int:
 
     from repro import obs
     from repro.errors import ManifestCorruptError, ManifestMismatchError
+    from repro.eval.supervisor import DEFAULT_BACKSTOP
     from repro.service import AnalysisService, JobManager, TenantRateLimiter
 
-    tools = _split_csv(args.tools) or None
-    if _unknown_tools(tools):
-        return 2
+    tools = _tools(args, None)
+    if args.isolation == "thread":
+        given = [flag for flag, value in (("--backstop", args.backstop),
+                                          ("--max-rss-mb", args.max_rss_mb))
+                 if value is not None]
+        if given:
+            raise UsageError(f"--isolation thread does not take "
+                             f"{' or '.join(given)}")
+    if args.burst is not None and not args.rate:
+        raise UsageError("--burst sizes the --rate bucket; pass --rate too")
     # Counters only: a long-lived server must not accumulate spans.
     obs.set_recorder(obs.CounterRecorder())
     try:
         manager = JobManager(
             args.run_dir,
             tools=tools,
-            cache_root=args.cache_dir,
+            cache_root=_cache_dir(args),
             queue_size=args.queue_size,
             executor_workers=args.workers,
             timeout=args.timeout,
             retries=args.retries,
             isolation=args.isolation,
-            backstop=args.backstop,
+            backstop=args.backstop or DEFAULT_BACKSTOP,
             poison_threshold=args.poison_threshold,
             max_rss_mb=args.max_rss_mb,
             probe_interval=args.probe_interval,
@@ -755,39 +638,7 @@ def _cmd_serve(args) -> int:
         limiter=TenantRateLimiter(rate=args.rate, burst=args.burst),
         max_body=args.max_body_mb * 1024 * 1024,
     )
-    return asyncio.run(_serve_until_signal(service))
-
-
-async def _serve_until_signal(service) -> int:
-    import asyncio
-    import json
-    import os
-    import signal
-
-    host, port = await service.start()
-    manager = service.manager
-    address = {"host": host, "port": port, "pid": os.getpid()}
-    (manager.run_dir / "address.json").write_text(
-        json.dumps(address), encoding="utf-8")
-    if manager.resumed:
-        print(f"resumed run dir {manager.run_dir}: "
-              f"{manager.stats['restored']} completed jobs restored, "
-              f"{manager.stats['resumed_jobs']} re-enqueued",
-              file=sys.stderr)
-    # The machine-readable "I'm up" line: chaos and tests parse it.
-    print(f"serving on http://{host}:{port}", flush=True)
-    stop = asyncio.Event()
-    loop = asyncio.get_running_loop()
-    for sig in (signal.SIGINT, signal.SIGTERM):
-        try:
-            loop.add_signal_handler(sig, stop.set)
-        except (NotImplementedError, RuntimeError):
-            pass
-    await stop.wait()
-    print("shutting down: in-flight jobs stay journaled for the next "
-          "server on this run dir", file=sys.stderr)
-    await service.stop()
-    return 0
+    return asyncio.run(service.serve_until_signal())
 
 
 def _cmd_chaos(args) -> int:
@@ -802,18 +653,14 @@ def _cmd_chaos(args) -> int:
                  if getattr(args, name) is not None]
         if given:
             flag = "--service" if args.service else "--ingest"
-            print(f"error: chaos {flag} does not take "
-                  f"{' or '.join(given)}", file=sys.stderr)
-            return 2
-    tools = None if args.tools is None else _split_csv(args.tools)
-    if _unknown_tools(tools):
-        return 2
+            raise UsageError(f"chaos {flag} does not take "
+                             f"{' or '.join(given)}")
+    tools = _tools(args, None)
     if args.work_dir:
         try:
             claim_work_dir(args.work_dir)
         except FileExistsError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            raise UsageError(exc) from None
     if args.service:
         from repro.service.chaos import ServeDriver
 
@@ -852,10 +699,10 @@ def _cmd_profile(args) -> int:
     import time
 
     from repro import obs
+    from repro.baselines import ALL_DETECTORS
+    from repro.elf.parser import ELFFile
 
-    tools = _split_csv(args.tools)
-    if _unknown_tools(tools):
-        return 2
+    tools = _tools(args, ("funseeker",))
     recorder = obs.set_recorder(obs.TraceRecorder())
     try:
         started = time.perf_counter()
@@ -906,19 +753,14 @@ def _cmd_fuzz(args) -> int:
     from repro.fuzz import run_fuzz
     from repro.fuzz.harness import DEFAULT_CASE_TIMEOUT
 
-    families = None
-    if args.families:
-        families = _split_csv(args.families)
-    timeout = (args.timeout if args.timeout is not None
-               else DEFAULT_CASE_TIMEOUT)
+    families = _split_csv(args.families) if args.families else None
     print(f"fuzzing: {args.budget} mutants, seed {args.seed} ...",
           file=sys.stderr)
     try:
         report = run_fuzz(args.budget, seed=args.seed, families=families,
-                          case_timeout=timeout)
+                          case_timeout=args.timeout or DEFAULT_CASE_TIMEOUT)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(exc) from None
     print(report.render())
     return 0 if report.ok else 1
 
@@ -928,7 +770,9 @@ def _cmd_report(args) -> int:
 
     from repro.analysis.ibt_audit import audit_ibt
     from repro.cfg import recover_program_cfg
+    from repro.core.funseeker import FunSeeker
     from repro.elf.gnuproperty import parse_cet_features
+    from repro.elf.parser import ELFFile
 
     elf = ELFFile.from_path(args.binary)
     result = FunSeeker(elf).identify()
@@ -993,6 +837,8 @@ def _cmd_corpus_info(args) -> int:
 
 
 def _cmd_identify(args) -> int:
+    from repro.core.funseeker import Config, FunSeeker
+
     if args.robust:
         from repro.core.robust import RobustFunSeeker
 
@@ -1014,6 +860,9 @@ def _cmd_identify(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from repro.baselines import ALL_DETECTORS
+    from repro.elf.parser import ELFFile
+
     elf = ELFFile.from_path(args.binary)
     print(f"{'tool':14s} {'functions':>9s} {'time':>9s}")
     for name, cls in ALL_DETECTORS.items():
@@ -1024,6 +873,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_disasm(args) -> int:
+    from repro.core.funseeker import FunSeeker
+    from repro.elf.parser import ELFFile
     from repro.x86.format import format_listing
 
     elf = ELFFile.from_path(args.binary)
@@ -1055,6 +906,8 @@ def _cmd_disasm(args) -> int:
 
 def _cmd_cfg(args) -> int:
     from repro.cfg import recover_program_cfg
+    from repro.core.funseeker import FunSeeker
+    from repro.elf.parser import ELFFile
 
     elf = ELFFile.from_path(args.binary)
     functions = FunSeeker(elf).identify().functions
@@ -1076,7 +929,7 @@ def _cmd_table(args) -> int:
     from repro.eval import tables
     from repro.synth.corpus import build_corpus
 
-    _configure_cache(args.cache_dir)
+    _configure_cache(args)
     print(f"building '{args.scale}' corpus ...", file=sys.stderr)
     corpus = build_corpus(args.scale, seed=args.seed)
     print(f"{len(corpus)} binaries", file=sys.stderr)
@@ -1096,12 +949,13 @@ def _cmd_table(args) -> int:
     return 0
 
 
-def _cmd_bti_demo() -> int:
+def _cmd_bti_demo(args) -> int:
     from repro.arm import (
         generate_bti_program,
         identify_functions_bti,
         link_bti_program,
     )
+    from repro.elf.parser import ELFFile
 
     funcs = generate_bti_program(150, seed=7)
     binary = link_bti_program(funcs, seed=7)

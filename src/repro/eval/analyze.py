@@ -263,7 +263,6 @@ def image_cells(
     parse: Callable[[Any], ELFFile] = ELFFile,
     timeout: float | None = None,
     retries: int = 0,
-    backoff: float = 0.0,
     allow: Callable[[str], bool] | None = None,
 ) -> Iterator[Cell]:
     """Parse ``data`` once, then run each detector on the parsed file.
@@ -276,7 +275,7 @@ def image_cells(
     :func:`circuit_open` instead of running.
 
     Every cell runs under :func:`~repro.eval.isolation.run_cell`
-    (``timeout``/``retries``/``backoff``) behind the ``cell.execute``
+    (``timeout``/``retries``) behind the ``cell.execute``
     fault point. ``cache`` is the disk cache the parsed file's analysis
     context reads and writes (``None`` for none); an image's stores are
     batched into one flush.
@@ -289,7 +288,7 @@ def image_cells(
         mark = obs.mark()
         value, error, attempts, elapsed = run_cell(
             faults.guarded(faults.SITE_CELL_EXECUTE, body),
-            timeout=timeout, retries=retries, backoff=backoff)
+            timeout=timeout, retries=retries)
         if error is not None:
             return Cell(tool, phase, None, type(error).__name__, str(error),
                         attempts, elapsed, enforced, mark)
@@ -319,7 +318,6 @@ def analyze_image(
     cache: DiskCache | None = None,
     timeout: float | None = None,
     retries: int = 0,
-    backoff: float = 0.0,
 ) -> ImageAnalysis:
     """Run the requested detectors over one binary image.
 
@@ -351,7 +349,7 @@ def analyze_image(
         todo = {name: ALL_DETECTORS[name]() for name in tools
                 if reports[name] is None}
         cells = image_cells(data, todo, cache=None, timeout=timeout,
-                            retries=retries, backoff=backoff)
+                            retries=retries)
         elf = next(cells).value
         seen = len(elf.diagnostics) if elf is not None else 0
         for cell in cells:

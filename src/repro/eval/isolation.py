@@ -19,7 +19,6 @@ runner and pool workers get real enforcement.
 
 from __future__ import annotations
 
-import random
 import signal
 import threading
 import time
@@ -135,16 +134,11 @@ def deadline(seconds: float | None) -> Iterator[None]:
             signal.setitimer(signal.ITIMER_REAL, max(remaining, 1e-6))
 
 
-#: Multiplicative jitter range applied to each retry backoff sleep.
-_JITTER = 0.5
-
-
 def run_cell(
     body: Callable[[], object],
     *,
     timeout: float | None = None,
     retries: int = 0,
-    backoff: float = 0.0,
 ) -> tuple[object | None, BaseException | None, int, float]:
     """Execute one cell body with watchdog and taxonomy-aware retry.
 
@@ -161,16 +155,12 @@ def run_cell(
       burning the retry budget on a deterministic rejection.
     - **Transient** failures (I/O errors, injected transient faults,
       and — conservatively — any undocumented exception) are retried
-      up to ``retries`` extra times, sleeping
-      ``backoff * 2**(attempt-1)`` seconds with multiplicative jitter
-      between attempts (``backoff=0``, the default, disables the
-      sleep).
+      up to ``retries`` extra times.
     """
     started = time.perf_counter()
     error: BaseException | None = None
     attempts = 0
-    budget = max(0, retries) + 1
-    for _ in range(budget):
+    for _ in range(max(0, retries) + 1):
         attempts += 1
         try:
             with deadline(timeout):
@@ -183,7 +173,4 @@ def run_cell(
             error = exc
             if is_permanent_failure(exc):
                 break
-        if backoff > 0 and attempts < budget:
-            delay = backoff * (2.0 ** (attempts - 1))
-            time.sleep(delay * (1.0 + random.random() * _JITTER))
     return None, error, attempts, time.perf_counter() - started

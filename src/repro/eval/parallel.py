@@ -83,7 +83,6 @@ def run_evaluation_parallel(
     retries: int = 0,
     keep_going: bool = True,
     trace_dir: str | os.PathLike | None = None,
-    backoff: float = 0.0,
     journal=None,
     completed: set | None = None,
     breaker: CircuitBreaker | None = None,
@@ -101,7 +100,7 @@ def run_evaluation_parallel(
     ``timeout`` bounds each (binary, tool) cell in wall-clock seconds
     (enforced inside the worker, with a parent-side backstop for
     workers that wedge); ``retries`` re-runs transiently
-    failing cells with ``backoff``-based exponential delays. With
+    failing cells. With
     ``keep_going=False`` the first failed cell aborts the sweep via
     :class:`~repro.errors.EvaluationAborted`. ``trace_dir`` (optional)
     enables per-worker observability traces, written as JSONL part
@@ -153,8 +152,7 @@ def run_evaluation_parallel(
 
     if workers == 1:
         for job in _dispatch(jobs):
-            _absorb(_evaluate_job(job, timeout, retries, trace_dir, backoff),
-                    job)
+            _absorb(_evaluate_job(job, timeout, retries, trace_dir), job)
         return report
 
     # A worker enforces its own per-cell deadline; the supervisor's
@@ -181,7 +179,7 @@ def run_evaluation_parallel(
             for job, future in pool.imap_unordered(
                     _supervised_job, _dispatch(jobs),
                     timeout, retries,
-                    None if trace_dir is None else str(trace_dir), backoff,
+                    None if trace_dir is None else str(trace_dir),
                     budget=budget):
                 try:
                     result = future.result()
@@ -195,15 +193,15 @@ def run_evaluation_parallel(
     return report
 
 
-def _supervised_job(job: tuple, timeout, retries, trace_dir, backoff):
+def _supervised_job(job: tuple, timeout, retries, trace_dir):
     """:func:`_evaluate_job` in a supervised worker, which starts with a
     counters-only recorder: a tracing run records spans there too."""
     if trace_dir is not None and not obs.enabled():
         obs.set_recorder(obs.TraceRecorder())
-    return _evaluate_job(job, timeout, retries, trace_dir, backoff)
+    return _evaluate_job(job, timeout, retries, trace_dir)
 
 
-def _flush_job_trace(trace_dir: str) -> None:
+def flush_trace_part(trace_dir: str) -> None:
     """Append this process's accumulated spans/counters to its part file."""
     recorder = obs.recorder()
     if not recorder.enabled:
@@ -250,7 +248,6 @@ def _evaluate_job(
     timeout: float | None = None,
     retries: int = 0,
     trace_dir: str | None = None,
-    backoff: float = 0.0,
 ) -> list[RunRecord | FailureRecord]:
     """Evaluate one corpus entry; never raises.
 
@@ -268,7 +265,7 @@ def _evaluate_job(
             {name: ALL_DETECTORS[name]() for name in tool_names},
             cache=default_cache(),
             parse=lambda image: ELFFile(_image_bytes(image)),
-            timeout=timeout, retries=retries, backoff=backoff))
+            timeout=timeout, retries=retries))
     finally:
         if trace_dir is not None:
-            _flush_job_trace(trace_dir)
+            flush_trace_part(trace_dir)

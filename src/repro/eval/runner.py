@@ -193,7 +193,6 @@ def run_evaluation(
     timeout: float | None = None,
     retries: int = 0,
     keep_going: bool = True,
-    backoff: float = 0.0,
     journal=None,
     completed: set | None = None,
     breaker: CircuitBreaker | None = None,
@@ -212,8 +211,7 @@ def run_evaluation(
     on the main thread) becomes a :class:`FailureRecord` on
     ``report.failures`` and the sweep continues. ``retries`` re-runs a
     raising cell up to that many extra times (transient failures only
-    — the :mod:`repro.errors` taxonomy fails fast on permanent kinds —
-    sleeping ``backoff``-based exponential delays between attempts).
+    — the :mod:`repro.errors` taxonomy fails fast on permanent kinds).
     With ``keep_going=False`` the first failure aborts the sweep by
     raising :class:`~repro.errors.EvaluationAborted`.
 
@@ -247,7 +245,7 @@ def run_evaluation(
         for item in entry_outcomes(
                 entry.stripped, entry.binary.ground_truth.function_starts,
                 entry_provenance(entry), todo, cache=default_cache(),
-                timeout=timeout, retries=retries, backoff=backoff,
+                timeout=timeout, retries=retries,
                 allow=None if breaker is None else breaker.allow):
             absorb(item, lambda: entry.stripped)
     return report

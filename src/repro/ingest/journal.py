@@ -52,10 +52,10 @@ def build_scan_manifest(
     *,
     include: tuple[str, ...] = (),
     exclude: tuple[str, ...] = (),
-    policy: AdmissionPolicy | None = None,
-    follow_symlinks: bool = True,
     timeout: float | None = None,
 ) -> dict:
+    """A fresh scan's manifest: the default admission policy, following
+    symlinks (a resume honours whatever an older manifest recorded)."""
     return {
         "schema": SCAN_MANIFEST_SCHEMA,
         "journal_schema": SCAN_JOURNAL_SCHEMA,
@@ -63,23 +63,39 @@ def build_scan_manifest(
         "tools": list(tools),
         "include": list(include),
         "exclude": list(exclude),
-        "policy": (policy or AdmissionPolicy()).to_dict(),
-        "follow_symlinks": follow_symlinks,
+        "policy": AdmissionPolicy().to_dict(),
+        "follow_symlinks": True,
         "config": {"timeout": timeout},
         "created": time.time(),
     }
 
 
-def check_scan_manifest(manifest: dict, roots: list[str] | None) -> None:
+def check_scan_manifest(
+    manifest: dict,
+    roots: list[str] | None,
+    *,
+    tools: list[str] | None = None,
+    include: tuple[str, ...] = (),
+    exclude: tuple[str, ...] = (),
+) -> None:
     """Refuse to resume a journal recorded for a *different* scan
-    (:meth:`ScanJournal.manifest` has checked the schema)."""
-    if roots:
-        recorded = manifest.get("roots") or []
-        given = [str(Path(r).absolute()) for r in roots]
-        if recorded != given:
+    (:meth:`ScanJournal.manifest` has checked the schema).
+
+    Only what the caller gives is compared; an empty value means "as
+    journaled".
+    """
+    given = {
+        "roots": [str(Path(r).absolute()) for r in roots or ()],
+        "tools": list(tools or ()),
+        "include": list(include),
+        "exclude": list(exclude),
+    }
+    for name, value in given.items():
+        recorded = manifest.get(name) or []
+        if value and value != recorded:
             raise ManifestMismatchError(
-                f"scan roots changed since the journal was created: "
-                f"recorded {recorded}, resuming with {given}")
+                f"scan {name} changed since the journal was created: "
+                f"recorded {recorded}, resuming with {value}")
 
 
 class ScanState(JournalFold):

@@ -97,34 +97,33 @@ def run_scan(
     resume: bool = False,
     include: tuple[str, ...] = (),
     exclude: tuple[str, ...] = (),
-    policy: AdmissionPolicy | None = None,
-    follow_symlinks: bool = True,
     workers: int | None = None,
     timeout: float | None = None,
     max_rss_mb: int | None = None,
     limit: int | None = None,
     breaker: CircuitBreaker | None = None,
     backstop_grace: float = DEFAULT_BACKSTOP,
-    quarantine: bool = True,
 ) -> ScanResult:
     """Scan ``roots`` for binaries and journal every decision.
 
     A fresh scan (``resume=False``) requires ``roots`` and creates
-    ``run_dir``; a resume takes everything identity-relevant — roots,
-    filters, tools, admission policy — from the journaled manifest (and
-    refuses via :class:`~repro.errors.ManifestMismatchError` if
-    explicit ``roots`` disagree with it). ``limit`` bounds the number
-    of *admitted* binaries; because the walk is deterministic it counts
-    previously-analyzed paths too, so a resumed limited scan converges
-    to the same fleet. Scans never raise for anything a binary does —
-    only for operator errors (bad run dir, manifest mismatch) and
-    journal write failures.
+    ``run_dir`` with the default admission policy, following symlinks;
+    a resume takes everything identity-relevant — roots, filters,
+    tools, admission policy — from the journaled manifest, and refuses
+    via :class:`~repro.errors.ManifestMismatchError` when explicit
+    ``roots``, ``tools``, ``include`` or ``exclude`` disagree with it.
+    ``limit`` bounds the number of *admitted* binaries; because the
+    walk is deterministic it counts previously-analyzed paths too, so
+    a resumed limited scan converges to the same fleet. Scans never
+    raise for anything a binary does — only for operator errors (bad
+    run dir, manifest mismatch) and journal write failures.
     """
     run_dir = Path(run_dir)
     if resume:
         journal = ScanJournal.resume(run_dir)
         manifest = journal.manifest()
-        check_scan_manifest(manifest, roots)
+        check_scan_manifest(manifest, roots, tools=tools, include=include,
+                            exclude=exclude)
         roots = manifest.get("roots") or []
         tools = list(manifest.get("tools") or DEFAULT_SCAN_TOOLS)
         include = tuple(manifest.get("include") or ())
@@ -138,10 +137,9 @@ def run_scan(
         if not roots:
             raise ValueError("a fresh scan needs at least one root")
         tools = list(tools or DEFAULT_SCAN_TOOLS)
-        policy = policy or AdmissionPolicy()
+        policy, follow_symlinks = AdmissionPolicy(), True
         manifest = build_scan_manifest(
             list(roots), tools, include=include, exclude=exclude,
-            policy=policy, follow_symlinks=follow_symlinks,
             timeout=timeout)
         # Walk the manifest's absolute roots, as a resume will, so both
         # runs journal the same path strings.
@@ -159,7 +157,6 @@ def run_scan(
                 workers=workers, timeout=timeout, max_rss_mb=max_rss_mb,
                 limit=limit, breaker=breaker,
                 backstop_grace=backstop_grace,
-                quarantine=quarantine,
             )
     return result
 
@@ -170,7 +167,6 @@ def _drive_scan(
     *,
     roots, tools, include, exclude, policy, follow_symlinks,
     workers, timeout, max_rss_mb, limit, breaker, backstop_grace,
-    quarantine,
 ) -> None:
     state = result.state
     stats = result.stats
@@ -178,11 +174,9 @@ def _drive_scan(
     prior_admitted = {p for p in state.analyses if p in completed}
     if breaker is None:
         breaker = CircuitBreaker()
-    store = None
-    if quarantine:
-        from repro.eval.quarantine import QuarantineStore
+    from repro.eval.quarantine import QuarantineStore
 
-        store = QuarantineStore(result.run_dir / QUARANTINE_DIR)
+    store = QuarantineStore(result.run_dir / QUARANTINE_DIR)
 
     admitted = 0
 
@@ -235,7 +229,7 @@ def _drive_scan(
     def _record_analysis(candidate: Candidate, doc: dict) -> None:
         state.absorb(journal.append_analysis(doc))
         breaker.record_success(str(candidate.directory))
-        if store is not None and doc.get("status") == "quarantined":
+        if doc.get("status") == "quarantined":
             _capture_quarantined(store, candidate, doc, policy)
 
     def _record_failure(candidate: Candidate, error_type: str,

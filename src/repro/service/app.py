@@ -29,6 +29,9 @@ import asyncio
 import base64
 import binascii
 import json
+import os
+import signal
+import sys
 import time
 from urllib.parse import parse_qsl, urlsplit
 
@@ -117,6 +120,38 @@ class AnalysisService:
             await self._server.wait_closed()
             self._server = None
         await self.manager.stop()
+
+    async def serve_until_signal(self) -> int:
+        """``funseeker serve``: start, announce, run until SIGINT or
+        SIGTERM, stop; returns the exit code.
+
+        The bound address goes to ``<run-dir>/address.json`` and, as the
+        machine-readable ``serving on http://host:port`` line that chaos
+        and tests parse, to stdout.
+        """
+        host, port = await self.start()
+        manager = self.manager
+        (manager.run_dir / "address.json").write_text(json.dumps(
+            {"host": host, "port": port, "pid": os.getpid()}),
+            encoding="utf-8")
+        if manager.resumed:
+            print(f"resumed run dir {manager.run_dir}: "
+                  f"{manager.stats['restored']} completed jobs restored, "
+                  f"{manager.stats['resumed_jobs']} re-enqueued",
+                  file=sys.stderr)
+        print(f"serving on http://{host}:{port}", flush=True)
+        stop = asyncio.Event()
+        loop = asyncio.get_running_loop()
+        for sig in (signal.SIGINT, signal.SIGTERM):
+            try:
+                loop.add_signal_handler(sig, stop.set)
+            except (NotImplementedError, RuntimeError):
+                pass
+        await stop.wait()
+        print("shutting down: in-flight jobs stay journaled for the next "
+              "server on this run dir", file=sys.stderr)
+        await self.stop()
+        return 0
 
     # -- connection handling -------------------------------------------------
 

@@ -110,21 +110,6 @@ def test_run_cell_injected_fault_taxonomy():
     assert permanent[2] == 1              # failed fast
 
 
-def test_run_cell_backoff_sleeps_between_retries():
-    calls = []
-
-    def body():
-        calls.append(time.perf_counter())
-        raise OSError("transient")
-
-    started = time.perf_counter()
-    run_cell(body, retries=2, backoff=0.05)
-    elapsed = time.perf_counter() - started
-    assert len(calls) == 3
-    # Two sleeps: >= 0.05 + 0.10 (jitter only adds time).
-    assert elapsed >= 0.15
-
-
 def test_run_cell_timeout_not_retried():
     calls = []
 
