@@ -7,12 +7,13 @@ identical (up to timing jitter) to the serial one.
 
 Detectors are addressed by registry name (``repro.baselines``), not by
 instance — worker processes construct their own, so nothing stateful
-crosses the fork boundary. Each worker parses its job's binary once
-and runs every tool against that one ``ELFFile``, so the per-binary
-analysis context (:mod:`repro.cache`) is built once per job and shared
-across the job's tools; the opt-in disk cache crosses the fork
-boundary through the inherited ``REPRO_CACHE_DIR`` environment (and the
-fault plan through ``REPRO_FAULT_PLAN``).
+crosses the fork boundary. Each job carries its binary's bytes; the
+worker parses them once and runs every tool against that one
+``ELFFile``, so the per-binary analysis context (:mod:`repro.cache`)
+is built once per job and shared across the job's tools; the opt-in
+disk cache crosses the fork boundary through the inherited
+``REPRO_CACHE_DIR`` environment (and the fault plan through
+``REPRO_FAULT_PLAN``).
 
 Fault isolation mirrors the serial runner: each (binary, tool) cell is
 guarded in the worker (exceptions and ``timeout`` become
@@ -56,9 +57,7 @@ from pathlib import Path
 from repro import faults, obs
 from repro.baselines import ALL_DETECTORS
 from repro.cache.disk import default_cache
-from repro.elf.parser import ELFFile
 from repro.errors import WorkerLostError
-from repro.eval import shm
 from repro.eval.analyze import circuit_open
 from repro.eval.breaker import CircuitBreaker
 from repro.eval.isolation import PHASE_WORKER, FailureRecord
@@ -133,7 +132,7 @@ def run_evaluation_parallel(
 
     def _absorb(items: list[RunRecord | FailureRecord], job: tuple) -> None:
         for item in items:
-            absorb(item, lambda: _image_bytes(job[0]))
+            absorb(item, lambda: job[0])
 
     def _dispatch(jobs):
         """Strip open-circuit tools from each job as it is sent."""
@@ -162,34 +161,21 @@ def run_evaluation_parallel(
         per_job_cells = len(tool_names) + 1  # + the shared parse
         budget = timeout * (retries + 1) * per_job_cells
 
-    # Ship images through a shared-memory arena instead of pickling
-    # them into every dispatch: jobs carry a small ImageRef and workers
-    # slice the mapped segment, so the job queue stops being the
-    # bottleneck on large corpora.
-    arena = None
-    if shm.available() and jobs:
-        arena, refs = shm.share_images([job[0] for job in jobs])
-        jobs = [(ref,) + job[1:] for job, ref in zip(jobs, refs)]
-
-    try:
-        with SupervisedExecutor(
-                workers or os.cpu_count() or 1,
-                backstop=None if budget is None else backstop_grace,
-                max_rss_mb=max_rss_mb) as pool:
-            for job, future in pool.imap_unordered(
-                    _supervised_job, _dispatch(jobs),
-                    timeout, retries,
-                    None if trace_dir is None else str(trace_dir),
-                    budget=budget):
-                try:
-                    result = future.result()
-                except WorkerLostError as exc:
-                    obs.add("eval.workers_lost", 1)
-                    result = _lost_worker_failures(job, str(exc))
-                _absorb(result, job)
-    finally:
-        if arena is not None:
-            arena.destroy()
+    with SupervisedExecutor(
+            workers or os.cpu_count() or 1,
+            backstop=None if budget is None else backstop_grace,
+            max_rss_mb=max_rss_mb) as pool:
+        for job, future in pool.imap_unordered(
+                _supervised_job, _dispatch(jobs),
+                timeout, retries,
+                None if trace_dir is None else str(trace_dir),
+                budget=budget):
+            try:
+                result = future.result()
+            except WorkerLostError as exc:
+                obs.add("eval.workers_lost", 1)
+                result = _lost_worker_failures(job, str(exc))
+            _absorb(result, job)
     return report
 
 
@@ -211,13 +197,6 @@ def flush_trace_part(trace_dir: str) -> None:
         obs.append_payload(path, recorder.drain())
     except OSError:
         pass  # tracing is an accelerant, never a point of failure
-
-
-def _image_bytes(stripped) -> bytes:
-    """Resolve a job's image: raw bytes, or a shared-memory ref."""
-    if isinstance(stripped, shm.ImageRef):
-        return stripped.fetch()
-    return stripped
 
 
 def _job_payload(entry: CorpusEntry, tool_names: list[str]) -> tuple:
@@ -257,15 +236,10 @@ def _evaluate_job(
     """
     stripped, ground_truth, provenance, tool_names = job
     try:
-        # Resolving the image inside the guarded parse cell means a
-        # torn-down arena surfaces as an ordinary parse failure, not a
-        # worker crash.
         return list(entry_outcomes(
             stripped, ground_truth, provenance,
             {name: ALL_DETECTORS[name]() for name in tool_names},
-            cache=default_cache(),
-            parse=lambda image: ELFFile(_image_bytes(image)),
-            timeout=timeout, retries=retries))
+            cache=default_cache(), timeout=timeout, retries=retries))
     finally:
         if trace_dir is not None:
             flush_trace_part(trace_dir)

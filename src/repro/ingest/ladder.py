@@ -129,7 +129,6 @@ def analyze_binary(
     *,
     timeout: float | None = None,
     max_size: int | None = None,
-    data: bytes | None = None,
 ) -> BinaryOutcome:
     """Run one admitted binary down the ladder. Runs in a pool worker.
 
@@ -141,15 +140,12 @@ def analyze_binary(
 
     started = time.perf_counter()
     with obs.span("ingest.analyze", path=str(path)):
-        if data is None:
-            data, error, _attempts, _elapsed = run_cell(
-                lambda: _read_image(path, max_size), timeout=timeout)
-            if error is not None:
-                raise LadderReadError(
-                    f"{type(error).__name__}: {error}") from (
-                        error if isinstance(error, Exception) else None)
-        else:
-            faults.hit(faults.SITE_INGEST_ANALYZE)
+        data, error, _attempts, _elapsed = run_cell(
+            lambda: _read_image(path, max_size), timeout=timeout)
+        if error is not None:
+            raise LadderReadError(
+                f"{type(error).__name__}: {error}") from (
+                    error if isinstance(error, Exception) else None)
         outcome = BinaryOutcome(
             path=str(path),
             size=len(data),

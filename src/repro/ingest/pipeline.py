@@ -12,8 +12,9 @@ Division of labor:
   a walk skip, a final triage call, a finished analysis, a retryable
   failure — is fsync'd to the scan journal the moment it is learned.
 - **Supervised workers** (:class:`repro.eval.supervisor.SupervisedExecutor`)
-  run the degradation ladder (parse, CET probe, detector sweep) under
-  the shared watchdog/RSS machinery from :mod:`repro.eval`.
+  read each admitted binary from its path and run the degradation
+  ladder (parse, CET probe, detector sweep) under the shared
+  watchdog/RSS machinery from :mod:`repro.eval`.
 - The discover generator *is* the executor's lazily pulled job
   iterator, so the walk only advances as in-flight slots free up:
   backpressure for free, and parent memory bounded by the dispatch
@@ -43,7 +44,6 @@ from pathlib import Path
 
 from repro import obs
 from repro.errors import WorkerLostError
-from repro.eval import shm
 from repro.eval.breaker import CIRCUIT_OPEN, CircuitBreaker
 from repro.eval.isolation import FailureRecord
 from repro.eval.supervisor import DEFAULT_BACKSTOP, SupervisedExecutor
@@ -189,6 +189,10 @@ def _drive_scan(
         nonlocal admitted
         for event in discover(roots, include=include, exclude=exclude,
                               follow_symlinks=follow_symlinks):
+            # Checked before each event, so the walk stops as soon as
+            # the limit is met and ``limit=0`` admits nothing.
+            if limit is not None and admitted >= limit:
+                return
             stats.walked += 1
             path = str(event.path)
             if not isinstance(event, Candidate):
@@ -203,8 +207,6 @@ def _drive_scan(
                 stats.resumed += 1
                 if path in prior_admitted:
                     admitted += 1
-                    if limit is not None and admitted >= limit:
-                        return
                 continue
             admission = triage(event, policy)
             if admission.transient:
@@ -223,8 +225,6 @@ def _drive_scan(
                 continue
             admitted += 1
             yield event
-            if limit is not None and admitted >= limit:
-                return
 
     def _record_analysis(candidate: Candidate, doc: dict) -> None:
         state.absorb(journal.append_analysis(doc))
@@ -238,70 +238,42 @@ def _drive_scan(
                                             message))
         breaker.record_failure(str(candidate.directory))
 
-    def _dispatch(preload):
-        """Breaker check and image preload, as each candidate is sent."""
+    def _dispatch():
+        """Breaker check, as each candidate is sent."""
         for candidate in _jobs():
             if not _breaker_gate(candidate, breaker, stats,
                                  _record_failure):
                 continue
             stats.dispatched += 1
-            yield candidate, preload(candidate)
+            yield candidate
 
     if workers == 1:
-        for job in _dispatch(lambda candidate: None):
-            _absorb_payload(job[0],
-                            _scan_job(job, tools, timeout, policy.max_size),
+        for candidate in _dispatch():
+            _absorb_payload(candidate,
+                            _scan_job(candidate, tools, timeout,
+                                      policy.max_size),
                             _record_analysis, _record_failure)
         return
-
-    # Per-candidate shared-memory preload: the parent reads the image
-    # once and ships a small ref, so the job queue never carries whole
-    # binaries. A preload failure ships no ref and the worker reads the
-    # path itself — the pre-shm behavior, byte for byte.
-    segments: dict[str, shm.Arena] = {}
-
-    def _preload(candidate: Candidate):
-        if not shm.available():
-            return None
-        try:
-            with open(candidate.path, "rb") as f:
-                # Mirrors the ladder's own read bound (+1 so a file
-                # that grew past the ceiling is still detected).
-                data = f.read(policy.max_size + 1 if policy.max_size
-                              else None)
-        except OSError:
-            return None
-        arena, (ref,) = shm.share_images([data])
-        segments[str(candidate.path)] = arena
-        return ref
 
     # read + parse + one cell per tool. Without a timeout there is no
     # budget and no backstop, only the heartbeat.
     budget = None if timeout is None else timeout * (len(tools) + 2)
-    try:
-        with SupervisedExecutor(
-                workers or os.cpu_count() or 1,
-                backstop=None if budget is None else backstop_grace,
-                max_rss_mb=max_rss_mb) as pool:
-            for (candidate, _ref), future in pool.imap_unordered(
-                    _scan_job, _dispatch(_preload), tools, timeout,
-                    policy.max_size, budget=budget):
-                arena = segments.pop(str(candidate.path), None)
-                if arena is not None:
-                    arena.destroy()
-                try:
-                    payload = future.result()
-                except WorkerLostError as exc:
-                    stats.lost_workers += 1
-                    obs.add("eval.workers_lost", 1)
-                    _record_failure(candidate, "WorkerLost", str(exc))
-                else:
-                    _absorb_payload(candidate, payload,
-                                    _record_analysis, _record_failure)
-    finally:
-        for arena in segments.values():
-            arena.destroy()
-        segments.clear()
+    with SupervisedExecutor(
+            workers or os.cpu_count() or 1,
+            backstop=None if budget is None else backstop_grace,
+            max_rss_mb=max_rss_mb) as pool:
+        for candidate, future in pool.imap_unordered(
+                _scan_job, _dispatch(), tools, timeout,
+                policy.max_size, budget=budget):
+            try:
+                payload = future.result()
+            except WorkerLostError as exc:
+                stats.lost_workers += 1
+                obs.add("eval.workers_lost", 1)
+                _record_failure(candidate, "WorkerLost", str(exc))
+            else:
+                _absorb_payload(candidate, payload,
+                                _record_analysis, _record_failure)
 
 
 def _breaker_gate(candidate: Candidate, breaker: CircuitBreaker,
@@ -327,33 +299,20 @@ def _absorb_payload(candidate: Candidate, payload: dict,
         record_analysis(candidate, payload["outcome"])
 
 
-def _scan_job(job: tuple, tool_names: list[str],
+def _scan_job(candidate: Candidate, tool_names: list[str],
               timeout: float | None = None,
               max_size: int | None = None) -> dict:
     """Run one admitted binary down the ladder; never raises.
 
-    ``job`` is ``(candidate, image_ref)``. Runs in a supervised worker (or
-    in-process for ``workers=1``); everything comes back as data, so
-    nothing crosses the process boundary as an exception — except a
-    worker killed outright, which the parent turns into a retryable
-    ``WorkerLost`` record.
-
-    ``image_ref`` (a :class:`repro.eval.shm.ImageRef`) carries the
-    parent's preloaded image; when absent or unreadable, the worker
-    falls back to reading the candidate's path itself.
+    Runs in a supervised worker (or in-process for ``workers=1``),
+    which reads the candidate's path itself; everything comes back as
+    data, so nothing crosses the process boundary as an exception —
+    except a worker killed outright, which the parent turns into a
+    retryable ``WorkerLost`` record.
     """
-    candidate, image_ref = job
-    path = str(candidate.path)
-    data = None
-    if image_ref is not None:
-        try:
-            data = image_ref.fetch()
-        except Exception:
-            data = None
     try:
-        outcome = analyze_binary(path, list(tool_names),
-                                 timeout=timeout, max_size=max_size,
-                                 data=data)
+        outcome = analyze_binary(str(candidate.path), list(tool_names),
+                                 timeout=timeout, max_size=max_size)
     except LadderReadError as exc:
         return {"failure": {"error_type": "LadderReadError",
                             "message": str(exc)}}

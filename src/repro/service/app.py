@@ -400,10 +400,9 @@ class AnalysisService:
         batch = self.manager.get_batch(batch_id)
         if batch is None:
             raise HttpError(404, f"unknown batch {batch_id!r}")
-        jobs = [self.manager.get(j) for j in batch.job_ids]
         return 200, {
             "batch": batch.doc(),
-            "jobs": [j.doc() for j in jobs if j is not None],
+            "jobs": [j.doc() for j in batch.jobs],
         }, {}
 
     def _healthz(self) -> tuple[int, dict, dict]:

@@ -23,10 +23,8 @@ new ones:
   submissions (all requested artifacts cached) complete synchronously
   at submit time without touching the executor.
 
-Batches additionally stage their images in one shared-memory arena
-(:mod:`repro.eval.shm`) so executor workers slice a mapped segment
-instead of re-reading blobs; the arena is destroyed when the batch
-drains (and by the creator-side atexit guard on abnormal exit).
+A batch is a list of ordinary submissions: its jobs read their blobs
+like any other job.
 
 Execution isolation (``isolation="process"``) swaps the thread pool
 for a :class:`~repro.eval.supervisor.SupervisedExecutor`: jobs run
@@ -70,7 +68,6 @@ from repro.errors import (
     WorkerLostError,
     is_permanent_failure,
 )
-from repro.eval import shm
 from repro.eval.analyze import (
     ImageAnalysis,
     analyze_image,
@@ -117,18 +114,14 @@ def execute_payload(payload: dict) -> ImageAnalysis:
     Module-level and pickle-clean on purpose: this is the function a
     :class:`~repro.eval.supervisor.SupervisedExecutor` ships to its
     worker subprocesses (thread executors call it too, so both
-    isolation modes execute identical code). The payload carries either
-    a shared-memory ``ref`` or a blob ``path``, plus the job's cache —
-    ``cache`` (a live :class:`DiskCache`, thread mode only) or the
-    ``cache_root`` directory, attached once per worker process. Without
-    either the job runs uncached.
+    isolation modes execute identical code). The payload carries the
+    job's ``blob`` path plus its cache — ``cache`` (a live
+    :class:`DiskCache`, thread mode only) or the ``cache_root``
+    directory, attached once per worker process. Without either the
+    job runs uncached.
     """
     faults.hit(faults.SITE_BLOB_READ)
-    ref = payload.get("ref")
-    if ref is not None:
-        data = ref.fetch()
-    else:
-        data = Path(payload["blob"]).read_bytes()
+    data = Path(payload["blob"]).read_bytes()
     cache = payload.get("cache")
     cache_root = payload.get("cache_root")
     if cache is None and cache_root is not None:
@@ -220,20 +213,21 @@ class Job:
 
 @dataclass
 class Batch:
-    """A ``POST /v1/batch`` fan-out: job ids plus the staging arena."""
+    """A ``POST /v1/batch`` fan-out: its jobs, in submission order."""
 
     batch_id: str
-    job_ids: list[str]
+    jobs: list[Job]
     created_at: float
-    pending: int = 0
-    arena: object | None = None
 
     def doc(self) -> dict:
+        """The batch document; ``pending`` counts the jobs not yet done
+        or failed."""
         return {
             "batch_id": self.batch_id,
-            "jobs": list(self.job_ids),
+            "jobs": [job.job_id for job in self.jobs],
             "created_at": self.created_at,
-            "pending": self.pending,
+            "pending": sum(job.status not in (JOB_DONE, JOB_FAILED)
+                           for job in self.jobs),
         }
 
 
@@ -363,7 +357,6 @@ class JobManager:
 
         self._jobs: dict[str, Job] = {}
         self._batches: dict[str, Batch] = {}
-        self._refs: dict[str, shm.ImageRef] = {}
         self._caches: dict[str, DiskCache] = {}
         self._queue: asyncio.Queue[str] = asyncio.Queue(maxsize=queue_size)
         self._own_executor = executor is None
@@ -455,10 +448,6 @@ class JobManager:
         self._workers = []
         if self._own_executor:
             self._executor.shutdown(wait=False, cancel_futures=True)
-        for batch in self._batches.values():
-            if batch.arena is not None:
-                batch.arena.destroy()
-                batch.arena = None
         self._journal.close()
 
     # -- accessors -----------------------------------------------------------
@@ -662,9 +651,7 @@ class JobManager:
 
         Capacity is checked up front (all-or-nothing): a batch that
         would overflow the queue is rejected whole, so callers never
-        see half-accepted batches. Freshly-queued images are staged in
-        one shared-memory arena for zero-copy executor reads; the arena
-        dies with the batch.
+        see half-accepted batches.
         """
         tools = self._normalize_tools(tools)
         if len(items) > self.queue_size - self._queue.qsize():
@@ -677,28 +664,14 @@ class JobManager:
             b"\x00".join(content_digest(d).encode() for d in items)
             + f"\x00{tenant}\x00{','.join(tools)}".encode()
         ).hexdigest()[:16]
-        batch = Batch(batch_id=batch_id, job_ids=[],
-                      created_at=self.clock())
-        jobs: list[Job] = []
-        fresh: list[Job] = []
-        fresh_images: list[bytes] = []
+        batch = Batch(batch_id=batch_id, jobs=[], created_at=self.clock())
         for data in items:
-            job, created = self.submit(
+            job, _ = self.submit(
                 data, tenant=tenant, tools=tools, batch_id=batch_id)
-            jobs.append(job)
-            batch.job_ids.append(job.job_id)
-            if created and job.status == JOB_QUEUED:
-                fresh.append(job)
-                fresh_images.append(data)
-        if fresh and shm.available():
-            arena, refs = shm.share_images(fresh_images)
-            batch.arena = arena
-            batch.pending = len(fresh)
-            for job, ref in zip(fresh, refs):
-                self._refs[job.job_id] = ref
+            batch.jobs.append(job)
         self._batches[batch_id] = batch
         obs.add("service.batches", 1)
-        return batch, jobs
+        return batch, batch.jobs
 
     # -- execution -----------------------------------------------------------
 
@@ -771,12 +744,8 @@ class JobManager:
             "tools": job.tools,
             "timeout": self.timeout,
             "retries": self.retries,
+            "blob": str(self._blob_path(job.sha256)),
         }
-        ref = self._refs.get(job.job_id)
-        if ref is not None:
-            payload["ref"] = ref
-        else:
-            payload["blob"] = str(self._blob_path(job.sha256))
         cache = self.cache_for(job.tenant)
         if self.isolation == "process":
             # Workers attach the tenant's cache directory in their own
@@ -802,7 +771,6 @@ class JobManager:
         self._journal_terminal("job-completed", job,
                                analysis=analysis.to_doc(),
                                receipt=job.receipt)
-        self._release_batch(job)
 
     def _fail(self, job: Job, error: BaseException) -> None:
         job.status = JOB_FAILED
@@ -816,7 +784,6 @@ class JobManager:
         if is_permanent_failure(error):
             self._journal_terminal("job-failed", job, error=job.error,
                                    error_type=type(error).__name__)
-        self._release_batch(job)
 
     def _poison(self, job: Job, error: BaseException) -> None:
         """Permanently fail a job that kept killing its workers.
@@ -834,13 +801,8 @@ class JobManager:
         self.stats["failed"] += 1
         obs.add("service.jobs_poisoned", 1)
         obs.add("service.jobs_failed", 1)
-        data: bytes | None = None
-        ref = self._refs.get(job.job_id)
         try:
-            if ref is not None:
-                data = ref.fetch()
-            else:
-                data = self._blob_path(job.sha256).read_bytes()
+            data = self._blob_path(job.sha256).read_bytes()
         except OSError:
             data = None
         if data is not None:
@@ -857,7 +819,6 @@ class JobManager:
                  f"job {job.job_id} poisoned after {job.crashes} worker "
                  f"losses; input quarantined at "
                  f"{job.quarantined or '<not captured>'}")
-        self._release_batch(job)
 
     def _journal_terminal(self, kind: str, job: Job, **fields) -> None:
         """Journal a job's terminal line.
@@ -874,18 +835,6 @@ class JobManager:
                      f"journaled: {exc}")
             if _is_enospc(exc):
                 self._enter_degraded(f"storage full: {exc}")
-
-    def _release_batch(self, job: Job) -> None:
-        self._refs.pop(job.job_id, None)
-        if job.batch_id is None:
-            return
-        batch = self._batches.get(job.batch_id)
-        if batch is None or batch.arena is None:
-            return
-        batch.pending -= 1
-        if batch.pending <= 0:
-            batch.arena.destroy()
-            batch.arena = None
 
     # -- durability ----------------------------------------------------------
 

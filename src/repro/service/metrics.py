@@ -3,7 +3,7 @@
 The metrics endpoint is backed by :mod:`repro.obs` — the serve CLI
 installs a :class:`~repro.obs.recorder.CounterRecorder`, so every
 counter the analysis pipeline already emits (cache hits, decode stats,
-shm traffic, ``service.*`` events) shows up here without any dedicated
+``service.*`` events) shows up here without any dedicated
 plumbing, and without the unbounded span growth a ``TraceRecorder``
 would suffer on a long-lived process. Gauges that are cheap to read
 live (queue depth, job states) come straight from the manager.

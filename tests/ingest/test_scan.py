@@ -85,9 +85,11 @@ def test_resume_refuses_different_roots(tree, tmp_path):
         run_scan(run_dir, roots=[str(tmp_path / "other")], resume=True)
 
 
-def test_limit_bounds_admitted_binaries(tree, tmp_path):
-    result = _scan(tmp_path / "run", tree, workers=1, limit=2)
-    assert len(result.state.analyses) == 2
+@pytest.mark.parametrize("limit", [0, 2])
+def test_limit_bounds_admitted_binaries(tree, tmp_path, limit):
+    result = _scan(tmp_path / "run", tree, workers=1, limit=limit)
+    assert len(result.state.analyses) == limit
+    assert result.stats.dispatched == limit
 
 
 def test_transient_triage_fault_heals_on_resume(tree, tmp_path,

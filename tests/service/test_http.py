@@ -131,6 +131,7 @@ def test_batch_endpoint(tmp_path, loopback, sample_image,
     status, _, polled = server.request("GET", f"/v1/batch/{batch_id}")
     assert status == 200
     assert all(j["status"] == "done" for j in polled["jobs"])
+    assert polled["batch"]["pending"] == 0
 
 
 def test_error_paths(tmp_path, loopback, sample_image):

@@ -142,6 +142,25 @@ def test_queue_full_raises_before_side_effects(tmp_path):
     _run(main())
 
 
+def test_batch_pending_counts_deduplicated_jobs(tmp_path):
+    # A batch job that deduplicates onto an earlier submission is as
+    # unfinished as a fresh one: pending counts every job not yet done
+    # or failed.
+    async def main():
+        manager = JobManager(tmp_path / "run", tools=["fetch"],
+                             executor=StallExecutor())
+        try:
+            earlier, _ = manager.submit(b"image-0")
+            batch, jobs = manager.submit_batch([b"image-0", b"image-1"])
+            assert jobs[0] is earlier
+            assert [job.status for job in jobs] == [JOB_QUEUED] * 2
+            assert batch.doc()["pending"] == 2
+        finally:
+            await manager.stop()
+
+    _run(main())
+
+
 def test_restart_resumes_inflight_and_restores_done(
         tmp_path, sample_image):
     run_dir = tmp_path / "run"
