@@ -37,9 +37,10 @@ from repro.elf.parser import ELFFile
 from repro.eval.runner import run_evaluation
 from repro.service.jobs import JOB_DONE, JOB_FAILED, JobManager
 from repro.synth import CompilerProfile, generate_program, link_program
-from repro.x86 import superset, vector
+from repro.x86 import superset
 
 from benchmarks.conftest import bench_scale
+from tests.x86.scalar_oracle import scalar_pipeline
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_SCHEMA = "bench-throughput/v1"
@@ -113,7 +114,7 @@ def test_ida_throughput(benchmark, big_elf):
 def test_robust_sweep_throughput(benchmark, big_elf):
     """The superset-validated front end pays a constant-factor cost
     over plain sweep (full-offset viability pass)."""
-    from repro.core.robust import disassemble_robust
+    from repro.core.disassemble import disassemble_robust
     from repro.x86.superset import clear_index_memo
 
     txt = big_elf.section(".text")
@@ -269,28 +270,21 @@ def test_cache_trajectory_emits_bench_json(corpus, tmp_path):
 
     set_default_cache(None)
 
-    # Legacy reference: the scalar decoder, vectorization forced off.
-    # Runs first so the vectorized trajectory below is measured against
-    # a cold process (no shared indexes, no def-use memo warm-up).
-    vector.set_enabled(False)
-    superset.clear_index_memo()
-    try:
+    # Legacy reference: the scalar oracle index builder and collection
+    # pass. Runs first so the vectorized trajectory below is measured
+    # against a cold process (no shared indexes, no def-use memo
+    # warm-up).
+    with scalar_pipeline():
         legacy_wall, legacy = _table3_sweep(corpus)
-    finally:
-        vector.set_enabled(None)
-        superset.clear_index_memo()
 
     # The superset front end in isolation: classify every offset of the
     # largest images with the scalar decoder, then vectorized. This is
     # the pass the vectorized rewrite targets; the digests prove the
     # two produce bit-identical length/class/viability tables.
     sweep_sample, sweep_bytes = _sweep_sample(corpus)
-    vector.set_enabled(False)
-    try:
+    with scalar_pipeline():
         sweep_legacy_wall, sweep_legacy_digest = \
             _superset_sweep(sweep_sample)
-    finally:
-        vector.set_enabled(None)
     sweep_vec_wall, sweep_vec_digest = _superset_sweep(sweep_sample)
     assert sweep_vec_digest == sweep_legacy_digest, \
         "vectorized superset tables diverged from the scalar decoder"
@@ -405,7 +399,6 @@ def test_cache_trajectory_emits_bench_json(corpus, tmp_path):
         },
         "identical_outputs": True,
         "vectorized": {
-            "available": vector.available(),
             "wall_seconds": round(uncached_wall, 4),
             "mb_per_s": round(_mbps(uncached_wall), 3),
             "legacy_mb_per_s": round(_mbps(legacy_wall), 3),
@@ -479,7 +472,7 @@ def test_cache_trajectory_emits_bench_json(corpus, tmp_path):
     # iteration corpus is dominated by per-call fixed costs. The
     # end-to-end wall improves by a smaller factor because the
     # remaining time is per-function detector logic, not decode.
-    if vector.available() and bench_scale() != "tiny":
+    if bench_scale() != "tiny":
         assert sweep_legacy_wall / sweep_vec_wall >= 10.0, \
             "vectorized superset sweep below the 10x-vs-scalar bar"
         assert legacy_wall / uncached_wall >= 2.0, \

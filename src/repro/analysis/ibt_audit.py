@@ -23,13 +23,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from repro.core.disassemble import disassemble
 from repro.elf import constants as C
 from repro.elf.ehframe import EhFrameError, parse_eh_frame
 from repro.elf.lsda import landing_pads_from_exception_info
 from repro.elf.parser import ELFFile
-from repro.x86.decoder import DecodeError, decode
 from repro.x86.insn import InsnClass
+from repro.x86.superset import get_index
+from repro.x86.sweep import linear_sweep
 
 #: Data sections scanned for stored code pointers.
 _POINTER_SECTIONS = (".data", ".data.rel.ro", ".rodata", ".init_array",
@@ -38,6 +38,9 @@ _POINTER_SECTIONS = (".data", ".data.rel.ro", ".rodata", ".init_array",
 _XREF_CLASSES = frozenset(
     {InsnClass.LEA, InsnClass.MOV_IMM, InsnClass.PUSH_IMM}
 )
+
+#: An offset that does not decode has class 0 (OTHER) in the index.
+_ENDBR_CLASSES = frozenset({InsnClass.ENDBR64, InsnClass.ENDBR32})
 
 
 class TargetSource(enum.Enum):
@@ -98,19 +101,11 @@ def _code_xref_targets(txt, bits: int, *, pie: bool) -> set[int]:
     not pointers — only RIP-relative LEAs count there (the same rule
     the IDA-like baseline applies).
     """
-    sweep_data = txt.data
     base = txt.sh_addr
-    end = base + len(sweep_data)
+    end = base + len(txt.data)
     classes = {InsnClass.LEA} if pie else _XREF_CLASSES
     out: set[int] = set()
-    offset = 0
-    while offset < len(sweep_data):
-        try:
-            insn = decode(sweep_data, offset, base + offset, bits)
-        except DecodeError:
-            offset += 1
-            continue
-        offset += insn.length
+    for insn in linear_sweep(txt.data, base, bits):
         if insn.klass in classes and insn.target is not None:
             if base <= insn.target < end:
                 out.add(insn.target)
@@ -147,8 +142,8 @@ def _landing_pads(elf: ELFFile) -> set[int]:
 
 
 def _has_endbr(txt, addr: int, bits: int) -> bool:
-    try:
-        insn = decode(txt.data, addr - txt.sh_addr, addr, bits)
-    except DecodeError:
+    offset = addr - txt.sh_addr
+    if not 0 <= offset < len(txt.data):
         return False
-    return insn.is_endbr
+    index = get_index(txt.data, bits, txt.sh_addr)
+    return index.klasses[offset] in _ENDBR_CLASSES

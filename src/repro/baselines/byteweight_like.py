@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from repro.baselines.base import FunctionDetector, text_section
 from repro.elf.parser import ELFFile
-from repro.x86.decoder import DecodeError, decode_raw
+from repro.x86.sweep import linear_sweep
 
 #: Maximum prefix depth learned (ByteWeight's default tree depth is 10).
 MAX_DEPTH = 10
@@ -89,19 +89,11 @@ def train_prefix_tree(
     """
     tree = PrefixTree(depth=depth)
     for data, base, starts in training_set:
-        bits = 64  # samples carry their own byte patterns; mode only
-        # affects the negative-offset enumeration marginally.
-        offset = 0
-        n = len(data)
-        while offset < n:
-            addr = base + offset
-            try:
-                length, _k, _t, _n = decode_raw(data, offset, addr, bits)
-            except DecodeError:
-                offset += 1
-                continue
-            tree.add(data[offset : offset + depth], addr in starts)
-            offset += length
+        # Samples carry their own byte patterns; the mode only affects
+        # the negative-offset enumeration marginally.
+        for insn in linear_sweep(data, base, 64):
+            offset = insn.addr - base
+            tree.add(data[offset : offset + depth], insn.addr in starts)
     return tree
 
 
@@ -124,18 +116,12 @@ class ByteWeightLikeDetector(FunctionDetector):
             return set()
         bits = 64 if elf.is64 else 32
         data = txt.data
+        base = txt.sh_addr
+        depth = self.tree.depth
         found: set[int] = set()
-        offset = 0
-        n = len(data)
-        while offset < n:
-            addr = txt.sh_addr + offset
-            try:
-                length, _k, _t, _no = decode_raw(data, offset, addr, bits)
-            except DecodeError:
-                offset += 1
-                continue
-            if self.tree.score(data[offset : offset + self.tree.depth]) \
+        for insn in linear_sweep(data, base, bits):
+            offset = insn.addr - base
+            if self.tree.score(data[offset : offset + depth]) \
                     >= self.threshold:
-                found.add(addr)
-            offset += length
+                found.add(insn.addr)
         return found

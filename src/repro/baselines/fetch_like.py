@@ -25,8 +25,7 @@ Reproduced failure modes:
   derived by block reachability rather than walked.
 
 Every stage runs as a per-image array program over the shared
-:class:`~repro.x86.superset.DecodeIndex`, whichever way that index was
-built (``REPRO_NO_VECTOR`` switches only the index builder):
+:class:`~repro.x86.superset.DecodeIndex`:
 
 - **chains** — each region's instructions, from all FDE starts at once
   by pointer doubling over ``next[i] = i + (length or 1)`` cut at the

@@ -187,7 +187,7 @@ class AnalysisContext:
             return None
 
         def _compute() -> SweepResult:
-            from repro.core.robust import disassemble_robust
+            from repro.core.disassemble import disassemble_robust
 
             with obs.span("sweep.robust", bytes=len(txt.data)):
                 return disassemble_robust(txt.data, txt.sh_addr, self.bits)

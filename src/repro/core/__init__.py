@@ -1,6 +1,11 @@
 """FunSeeker core: the paper's function-identification algorithm."""
 
-from repro.core.disassemble import BranchSite, SweepResult, disassemble
+from repro.core.disassemble import (
+    BranchSite,
+    SweepResult,
+    disassemble,
+    disassemble_robust,
+)
 from repro.core.filter_endbr import filter_endbr
 from repro.core.funseeker import (
     Config,
@@ -12,7 +17,7 @@ from repro.core.indirect_return import (
     INDIRECT_RETURN_FUNCTIONS,
     is_indirect_return_name,
 )
-from repro.core.robust import RobustFunSeeker, disassemble_robust
+from repro.core.robust import RobustFunSeeker
 from repro.core.tailcall import select_tail_calls
 
 __all__ = [

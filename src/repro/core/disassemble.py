@@ -11,6 +11,11 @@ needs:
   filter);
 - direct-call sites whose target leaves ``.text`` (PLT calls), so
   FILTERENDBR can match them against the indirect-return list.
+
+:func:`disassemble` and the data-tolerant :func:`disassemble_robust`
+are one walk over the shared decode index; they differ only in how the
+cursor moves past an offset that does not decode (or, for the robust
+walk, starts no viable chain).
 """
 
 from __future__ import annotations
@@ -18,10 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro import obs
-from repro.x86 import vector
-from repro.x86.decoder import DecodeError, decode_raw
 from repro.x86.insn import InsnClass
-from repro.x86.superset import get_index
+from repro.x86.superset import get_index, next_viable
 
 
 @dataclass(frozen=True)
@@ -60,79 +63,38 @@ def disassemble(data: bytes, base_addr: int, bits: int) -> SweepResult:
     Decode failures advance one byte, per the paper.
     """
     with obs.span("sweep", bytes=len(data)):
-        if vector.available():
-            return _disassemble_indexed(
-                get_index(data, bits, base_addr), data, base_addr, bits
-            )
-        return _disassemble(data, base_addr, bits)
+        return _collect(get_index(data, bits, base_addr), data, base_addr)
 
 
-def _disassemble_indexed(
-    index, data: bytes, base_addr: int, bits: int
+def disassemble_robust(data: bytes, base_addr: int, bits: int) -> SweepResult:
+    """DISASSEMBLE over the superset-validated sweep (paper §VI).
+
+    The same collection pass, except that a non-viable offset is not
+    stepped over one byte at a time: the cursor jumps to the next viable
+    offset (:func:`~repro.x86.superset.next_viable`), so data embedded
+    in ``.text`` yields no phantom end-branches or branch targets.
+    """
+    index = get_index(data, bits, base_addr)
+    return _collect(index, data, base_addr, index.viable)
+
+
+def _collect(
+    index, data: bytes, base_addr: int, viable: bytes | None = None
 ) -> SweepResult:
-    """The same collection pass, walking the shared decode index.
+    """Walk the shared decode index and collect the sweep tables.
 
     The batched pass has already classified every offset; this walk
     touches only instruction boundaries and materializes no ``Insn``
-    objects. Bookkeeping (error resets of ``prev``, boundary checks on
-    branch targets, counters) mirrors :func:`_disassemble` exactly —
-    the differential tests hold the two to identical results.
+    objects. An offset fails when it does not decode or, given
+    ``viable``, when no viable chain starts there. A failure resets the
+    predecessor and moves the cursor one byte on or, given ``viable``,
+    to the next viable offset.
     """
     result = SweepResult(text_start=base_addr, text_end=base_addr + len(data))
     end = result.text_end
     lengths = index.lengths
     klasses = index.klasses
     targets = index.targets
-    prev: tuple[int, int | None] | None = None
-    offset = 0
-    count = 0
-    errors = 0
-    n = len(data)
-    endbr64 = int(InsnClass.ENDBR64)
-    endbr32 = int(InsnClass.ENDBR32)
-    call_d = int(InsnClass.CALL_DIRECT)
-    jmp_d = int(InsnClass.JMP_DIRECT)
-    while offset < n:
-        length = lengths[offset]
-        if length == 0:
-            offset += 1
-            prev = None
-            errors += 1
-            continue
-        addr = base_addr + offset
-        klass = klasses[offset]
-        target = targets.get(offset)
-        offset += length
-        count += 1
-        if klass == endbr64 or klass == endbr32:
-            result.endbr_addrs.add(addr)
-            if prev is not None:
-                result.endbr_predecessor[addr] = (
-                    InsnClass(prev[0]), prev[1]
-                )
-        elif klass == call_d:
-            if base_addr <= target < end:
-                result.call_targets.add(target)
-                result.call_sites.append(BranchSite(addr, target, True))
-            else:
-                result.external_call_sites.append(
-                    BranchSite(addr, target, True)
-                )
-        elif klass == jmp_d:
-            if base_addr <= target < end:
-                result.jump_targets.add(target)
-                result.jump_sites.append(BranchSite(addr, target, False))
-        prev = (klass, target)
-    result.insn_count = count
-    obs.add("sweep.insns", count)
-    obs.add("sweep.decode_errors", errors)
-    obs.add("sweep.endbr_sites", len(result.endbr_addrs))
-    return result
-
-
-def _disassemble(data: bytes, base_addr: int, bits: int) -> SweepResult:
-    result = SweepResult(text_start=base_addr, text_end=base_addr + len(data))
-    end = result.text_end
     # Previous instruction's (class, target); None after decode errors.
     prev: tuple[int, int | None] | None = None
     offset = 0
@@ -144,16 +106,16 @@ def _disassemble(data: bytes, base_addr: int, bits: int) -> SweepResult:
     call_d = int(InsnClass.CALL_DIRECT)
     jmp_d = int(InsnClass.JMP_DIRECT)
     while offset < n:
-        addr = base_addr + offset
-        try:
-            length, klass, target, _notrack = decode_raw(
-                data, offset, addr, bits
-            )
-        except DecodeError:
-            offset += 1
+        length = lengths[offset]
+        if length == 0 or (viable is not None and not viable[offset]):
+            offset = (offset + 1 if viable is None
+                      else next_viable(data, viable, offset + 1))
             prev = None
             errors += 1
             continue
+        addr = base_addr + offset
+        klass = klasses[offset]
+        target = targets.get(offset)
         offset += length
         count += 1
         if klass == endbr64 or klass == endbr32:

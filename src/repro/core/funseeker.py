@@ -27,7 +27,8 @@ import time
 from dataclasses import dataclass, field
 
 from repro import obs
-from repro.cache.context import get_context
+from repro.cache.context import AnalysisContext, get_context
+from repro.core.disassemble import SweepResult
 from repro.core.filter_endbr import filter_endbr
 from repro.core.tailcall import select_tail_calls
 from repro.elf import constants as C
@@ -139,6 +140,13 @@ class FunSeeker:
         """
         return get_context(self.elf).landing_pads()
 
+    # -- DISASSEMBLE -------------------------------------------------------
+
+    def _sweep(self, ctx: AnalysisContext) -> SweepResult | None:
+        """The (E, C, J) collection pass over ``.text``; the one step
+        :class:`~repro.core.robust.RobustFunSeeker` replaces."""
+        return ctx.sweep()
+
     # -- main algorithm ----------------------------------------------------
 
     def identify(self) -> FunSeekerResult:
@@ -149,7 +157,7 @@ class FunSeeker:
             return FunSeekerResult(functions=set(),
                                    diagnostics=self.elf.diagnostics)
         ctx = get_context(self.elf)
-        sweep = ctx.sweep()
+        sweep = self._sweep(ctx)
         if sweep is None:
             return FunSeekerResult(functions=set(),
                                    diagnostics=self.elf.diagnostics)

@@ -1,87 +1,22 @@
 """Data-tolerant FunSeeker front end (paper §VI future work).
 
-Swaps DISASSEMBLE's plain linear sweep for superset-based robust sweep
-(:mod:`repro.x86.superset`), making the pipeline resilient to data
-embedded in ``.text`` by hand-written assembly — the known linear-sweep
-failure the paper defers to future work.
+Swaps DISASSEMBLE's plain linear sweep for the superset-validated sweep
+(:func:`~repro.core.disassemble.disassemble_robust`), making the
+pipeline resilient to data embedded in ``.text`` by hand-written
+assembly — the known linear-sweep failure the paper defers to future
+work. Everything after the sweep, every :class:`Config` included, is
+FunSeeker's own.
 """
 
 from __future__ import annotations
 
-from repro.cache.context import get_context
-from repro.core.disassemble import BranchSite, SweepResult
-from repro.core.filter_endbr import filter_endbr
-from repro.core.funseeker import FunSeeker, FunSeekerResult
-from repro.core.tailcall import select_tail_calls
-from repro.x86.insn import Insn, InsnClass
-from repro.x86.superset import robust_sweep
-
-
-def disassemble_robust(data: bytes, base_addr: int, bits: int) -> SweepResult:
-    """DISASSEMBLE built on the superset-validated sweep."""
-    result = SweepResult(text_start=base_addr,
-                         text_end=base_addr + len(data))
-    end = result.text_end
-    prev: Insn | None = None
-    count = 0
-    for insn in robust_sweep(data, base_addr, bits):
-        klass = insn.klass
-        if klass in (InsnClass.ENDBR64, InsnClass.ENDBR32):
-            result.endbr_addrs.add(insn.addr)
-            if prev is not None and prev.end == insn.addr:
-                result.endbr_predecessor[insn.addr] = (prev.klass,
-                                                       prev.target)
-        elif klass == InsnClass.CALL_DIRECT:
-            site = BranchSite(insn.addr, insn.target, True)
-            if base_addr <= insn.target < end:
-                result.call_targets.add(insn.target)
-                result.call_sites.append(site)
-            else:
-                result.external_call_sites.append(site)
-        elif klass == InsnClass.JMP_DIRECT:
-            if base_addr <= insn.target < end:
-                result.jump_targets.add(insn.target)
-                result.jump_sites.append(
-                    BranchSite(insn.addr, insn.target, False))
-        count += 1
-        prev = insn
-    result.insn_count = count
-    return result
+from repro.cache.context import AnalysisContext
+from repro.core.disassemble import SweepResult
+from repro.core.funseeker import FunSeeker
 
 
 class RobustFunSeeker(FunSeeker):
     """FunSeeker with the superset-validated disassembly front end."""
 
-    def identify(self) -> FunSeekerResult:
-        import time
-
-        started = time.perf_counter()
-        if not self._supported:
-            return FunSeekerResult(functions=set(),
-                                   diagnostics=self.elf.diagnostics)
-        ctx = get_context(self.elf)
-        sweep = ctx.robust_sweep_result()
-        if sweep is None:
-            return FunSeekerResult(functions=set(),
-                                   diagnostics=self.elf.diagnostics)
-        landing_pads = self._parse_exception_info()
-        plt_map = ctx.plt_map()
-        filtered = filter_endbr(sweep, plt_map, landing_pads)
-        functions = filtered | sweep.call_targets
-        tails = select_tail_calls(
-            sweep.jump_sites, sweep.call_sites, known_entries=functions,
-            text_start=sweep.text_start, text_end=sweep.text_end,
-        )
-        functions |= tails
-        return FunSeekerResult(
-            functions=functions,
-            endbr_all=set(sweep.endbr_addrs),
-            endbr_filtered=filtered,
-            call_targets=set(sweep.call_targets),
-            jump_targets=set(sweep.jump_targets),
-            tail_call_targets=tails,
-            landing_pads=landing_pads,
-            insn_count=sweep.insn_count,
-            elapsed_seconds=time.perf_counter() - started,
-            diagnostics=self.elf.diagnostics,
-        )
+    def _sweep(self, ctx: AnalysisContext) -> SweepResult | None:
+        return ctx.robust_sweep_result()

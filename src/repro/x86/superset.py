@@ -6,8 +6,8 @@ and mis-decoded garbage can synthesize phantom end-branches or branch
 targets. The paper names superset disassembly [7] and probabilistic
 disassembly [29] as the fix.
 
-This module decodes at *every* byte offset and computes, right to left,
-which offsets start a *viable* instruction chain: one whose fall-through
+This module decodes at *every* byte offset and computes which offsets
+start a *viable* instruction chain: one whose fall-through
 successors all decode, terminated by an instruction with no fall-through
 (ret/jmp/hlt/ud2) or by the end of the region. Data bytes rarely form
 viable chains, so a sweep that jumps from the end of one instruction to
@@ -15,16 +15,13 @@ the next viable offset skips embedded data instead of grinding through
 it byte by byte.
 
 The decode-at-every-offset pass is materialized as a
-:class:`DecodeIndex`. When NumPy is usable (see
-:mod:`repro.x86.vector`) the whole pass runs as one batched
-table-driven sweep — per-offset lengths and classes in packed
-``bytes``, with ``Insn`` objects materialized only on demand — and
-viability resolves lazily by pointer doubling the first time something
-asks for it. Otherwise a scalar right-to-left pass decodes each offset
-exactly once and the viability DP shares every suffix result.
-``viable_offsets``, ``robust_sweep`` and ``data_regions`` all draw from
-the same index (memoized per buffer), so a pipeline that needs several
-of these pays for the decode pass once.
+:class:`DecodeIndex` by one batched table-driven pass
+(:mod:`repro.x86.vector`): per-offset lengths and classes in packed
+``bytes``, with ``Insn`` objects materialized only on demand.
+Viability resolves lazily by pointer doubling the first time something
+asks for it. ``viable_offsets``, ``robust_sweep`` and ``data_regions``
+all draw from the same index (memoized per buffer), as do the linear
+sweep and every detector, so a pipeline pays for the decode pass once.
 """
 
 from __future__ import annotations
@@ -35,13 +32,7 @@ from collections.abc import Iterator
 
 from repro import obs
 from repro.x86 import vector
-from repro.x86.decoder import DecodeError, decode_raw
 from repro.x86.insn import Insn, InsnClass
-
-_TERMINATORS = frozenset(
-    int(k) for k in (InsnClass.JMP_DIRECT, InsnClass.JMP_INDIRECT,
-                     InsnClass.RET, InsnClass.HLT, InsnClass.UD)
-)
 
 
 class DecodeIndex:
@@ -109,60 +100,22 @@ class DecodeIndex:
 
 
 def build_index(data: bytes, bits: int, base_addr: int = 0) -> DecodeIndex:
-    """Decode every offset once.
+    """Decode every offset once, in one batched pass.
 
-    The vectorized path classifies all offsets in one batched pass and
-    defers viability until asked. The scalar path works right to left —
-    viability is a pure suffix property: ``viable[i]`` only consults
-    ``viable[i + length]``, already final when ``i`` is visited — so
-    either way the whole decode-at-every-offset pass is a single linear
-    scan instead of one chain walk per offset.
+    Viability is deferred until something asks for it.
     """
     n = len(data)
-    if vector.available():
-        with obs.span("superset.index", bytes=n, vectorized=True):
-            lengths, klasses, targets, notracks, fallbacks = \
-                vector.decode_all(data, bits, base_addr)
-            errors = lengths.count(0)
-            obs.add("superset.offsets_decoded", n - errors)
-            obs.add("superset.decode_errors", errors)
-            obs.add("superset.vectorized_bytes", n)
-            obs.add("superset.scalar_fallbacks", fallbacks)
-        return DecodeIndex(
-            base_addr=base_addr, bits=bits, lengths=lengths,
-            klasses=klasses, targets=targets, notracks=notracks,
-        )
-    lengths_b = bytearray(n)
-    klasses_b = bytearray(n)
-    targets: dict[int, int] = {}
-    notracks: set[int] = set()
-    viable = bytearray(n + 1)
-    viable[n] = 1
-    terminators = _TERMINATORS
-    errors = 0
-    with obs.span("superset.index", bytes=n):
-        for i in range(n - 1, -1, -1):
-            try:
-                length, klass, target, notrack = decode_raw(
-                    data, i, base_addr + i, bits
-                )
-            except DecodeError:
-                errors += 1
-                continue
-            lengths_b[i] = length
-            klasses_b[i] = klass
-            if target is not None:
-                targets[i] = target
-            if notrack:
-                notracks.add(i)
-            if klass in terminators or viable[i + length]:
-                viable[i] = 1
+    with obs.span("superset.index", bytes=n, vectorized=True):
+        lengths, klasses, targets, notracks, fallbacks = \
+            vector.decode_all(data, bits, base_addr)
+        errors = lengths.count(0)
         obs.add("superset.offsets_decoded", n - errors)
         obs.add("superset.decode_errors", errors)
+        obs.add("superset.vectorized_bytes", n)
+        obs.add("superset.scalar_fallbacks", fallbacks)
     return DecodeIndex(
-        base_addr=base_addr, bits=bits, lengths=bytes(lengths_b),
-        klasses=bytes(klasses_b), targets=targets, notracks=notracks,
-        viable=bytes(viable),
+        base_addr=base_addr, bits=bits, lengths=lengths,
+        klasses=klasses, targets=targets, notracks=notracks,
     )
 
 
@@ -241,7 +194,7 @@ def robust_sweep(data: bytes, base_addr: int, bits: int) -> Iterator[Insn]:
     offset = 0
     while offset < n:
         if not viable[offset]:
-            offset = _next_viable(data, viable, offset + 1, bits)
+            offset = next_viable(data, viable, offset + 1)
             if offset >= n:
                 return
         insn = index.insn_at(offset)
@@ -256,8 +209,7 @@ _ENDBR_PATTERNS = (b"\xf3\x0f\x1e\xfa", b"\xf3\x0f\x1e\xfb")
 _RESYNC_WINDOW = 16
 
 
-def _next_viable(data: bytes, viable: bytes, start: int,
-                 bits: int) -> int:
+def next_viable(data: bytes, viable: bytes, start: int) -> int:
     """Pick the resynchronization point after a non-viable region.
 
     CET-aware: within a short window past the first viable offset, a

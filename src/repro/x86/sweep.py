@@ -6,11 +6,11 @@ exactly as the paper specifies — linear sweep is reliable on
 compiler-generated x86 code because GCC and Clang do not embed data in
 ``.text``.
 
-When the vectorized decode pass is available the sweep walks the
-shared per-buffer :class:`~repro.x86.superset.DecodeIndex` instead of
-re-decoding: the batched pass has already classified every offset, and
-any other consumer of the same buffer (superset sweep, detectors)
-reuses the identical index.
+The sweep walks the shared per-buffer
+:class:`~repro.x86.superset.DecodeIndex` instead of decoding: the
+batched pass has already classified every offset, and any other
+consumer of the same buffer (superset sweep, detectors) reuses the
+identical index.
 """
 
 from __future__ import annotations
@@ -18,9 +18,8 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from repro import obs
-from repro.x86 import vector
-from repro.x86.decoder import DecodeError, decode
 from repro.x86.insn import Insn
+from repro.x86.superset import get_index
 
 
 def linear_sweep(data: bytes, base_addr: int, bits: int) -> Iterator[Insn]:
@@ -31,31 +30,6 @@ def linear_sweep(data: bytes, base_addr: int, bits: int) -> Iterator[Insn]:
     the observability counters once, when the sweep is exhausted —
     nothing is added to the per-instruction loop.
     """
-    if vector.available():
-        yield from _indexed_sweep(data, base_addr, bits)
-        return
-    offset = 0
-    count = 0
-    errors = 0
-    n = len(data)
-    while offset < n:
-        try:
-            insn = decode(data, offset, base_addr + offset, bits)
-        except DecodeError:
-            offset += 1
-            errors += 1
-            continue
-        yield insn
-        count += 1
-        offset += insn.length
-    obs.add("sweep.insns", count)
-    obs.add("sweep.decode_errors", errors)
-
-
-def _indexed_sweep(data: bytes, base_addr: int, bits: int) -> Iterator[Insn]:
-    """Linear sweep over the shared decode index (identical outputs)."""
-    from repro.x86.superset import get_index
-
     index = get_index(data, bits, base_addr)
     lengths = index.lengths
     offset = 0

@@ -20,40 +20,19 @@ in 32-bit mode — is flagged into a fallback mask and re-decoded through
 ``decode_raw`` itself. Those shapes are rare at real *and* garbage
 offsets, so the fallback stays a small fraction of the buffer.
 
-The pass is opt-out: set ``REPRO_NO_VECTOR`` (or call
-:func:`set_enabled`) to force every consumer back onto the scalar
-sweep — that switch is what the differential tests and the
-``vectorized`` benchmark trajectory compare against.
+This is the only way a :class:`~repro.x86.superset.DecodeIndex` is
+built; there is no switch back to a scalar pass. The scalar
+right-to-left builder the tests compare against lives in
+``tests/x86/scalar_oracle.py``.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as _np
 
 from repro.x86 import opcodes as OP
 from repro.x86.decoder import DecodeError, decode_raw
 from repro.x86.insn import TERMINATOR_CLASSES
-
-#: Environment kill switch: any non-empty value disables the pass.
-ENV_DISABLE = "REPRO_NO_VECTOR"
-
-#: Test override installed by :func:`set_enabled` (None = env decides).
-_FORCED: bool | None = None
-
-
-def set_enabled(flag: bool | None) -> None:
-    """Force the vector pass on/off (``None`` restores env control)."""
-    global _FORCED
-    _FORCED = flag
-
-
-def available() -> bool:
-    """Whether consumers should take the vectorized decode path."""
-    if _FORCED is not None:
-        return _FORCED
-    return not os.environ.get(ENV_DISABLE)
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +427,7 @@ def decode_all(
 def viability(lengths: bytes, klasses: bytes) -> bytes:
     """Right-to-left chain viability, as one pointer-doubling pass.
 
-    Semantics match the scalar DP in :mod:`repro.x86.superset`:
+    Semantics match the scalar DP of ``tests/x86/scalar_oracle.py``:
     ``viable[i]`` is truthy when offset ``i`` decodes and is a
     terminator, or falls through to a viable offset (the end-of-region
     sentinel at index ``n`` is viable). Every fall-through chain
@@ -457,8 +436,6 @@ def viability(lengths: bytes, klasses: bytes) -> bytes:
     Returns ``n + 1`` bytes of 0/1, sentinel included.
     """
     np = _np
-    if np is None:
-        raise RuntimeError("viability() requires numpy")
     n = len(lengths)
     if n == 0:
         return b"\x01"

@@ -10,8 +10,9 @@ the differential tests compare the array path against: the same
 counters.
 
 Like the array path it reads decode results from the shared
-:class:`~repro.x86.superset.DecodeIndex`; ``REPRO_NO_VECTOR`` switches
-only how that index is built.
+:class:`~repro.x86.superset.DecodeIndex`, built by the batched pass or,
+in ``test_scalar_index_builder``, by the scalar oracle builder of
+``tests/x86/scalar_oracle.py``.
 """
 
 from __future__ import annotations

@@ -21,11 +21,9 @@ from repro.elf.parser import ELFFile
 from repro.fuzz.harness import default_base_images
 from repro.fuzz.mutators import MUTATOR_FAMILIES, mutate
 from repro.synth import CompilerProfile, generate_program, link_program
-from repro.x86 import vector
-from repro.x86.superset import clear_index_memo
-
 from tests.baselines import array_stack_effect
 from tests.baselines import fetch_oracle as oracle
+from tests.x86.scalar_oracle import scalar_pipeline
 
 CORPUS = Path(__file__).resolve().parent.parent / "ingest" / "corpus"
 
@@ -122,19 +120,14 @@ def test_fuzz_mutants(family):
 
 
 def test_scalar_index_builder():
-    """``REPRO_NO_VECTOR`` switches only the index builder: the array
-    path over a scalar-built index still matches the oracle."""
+    """The array path over an index built by the scalar oracle builder
+    still matches the oracle."""
     profile = CompilerProfile("gcc", "O2", 64, True)
     spec = generate_program("fs", 10, profile, seed=5, cxx=True)
     args = oracle.inputs(ELFFile(link_program(spec, profile).data))
     expected = oracle.analyze(*args)
-    clear_index_memo()
-    vector.set_enabled(False)
-    try:
+    with scalar_pipeline(sweep=False):
         got = _array(*args)
-    finally:
-        vector.set_enabled(None)
-        clear_index_memo()
     assert got == expected
 
 

@@ -25,10 +25,8 @@ from repro.elf.parser import ELFFile
 from repro.fuzz.harness import default_base_images
 from repro.fuzz.mutators import MUTATOR_FAMILIES, mutate
 from repro.synth import CompilerProfile, generate_program, link_program
-from repro.x86 import vector
-from repro.x86.superset import clear_index_memo
-
 from tests.baselines import pre_cet_oracle as oracle
+from tests.x86.scalar_oracle import scalar_pipeline
 
 CORPUS = Path(__file__).resolve().parent.parent / "ingest" / "corpus"
 
@@ -139,16 +137,11 @@ def test_fuzz_mutants(family):
 
 
 def test_scalar_index_builder():
-    """``REPRO_NO_VECTOR`` switches only the index builder: the
-    detectors over a scalar-built index still match the oracle."""
+    """The detectors over an index built by the scalar oracle builder
+    still match the oracle."""
     data = _synth("gcc", 64, True, True, 5, functions=10)
-    clear_index_memo()
-    vector.set_enabled(False)
-    try:
+    with scalar_pipeline(sweep=False):
         _assert_same(data)
-    finally:
-        vector.set_enabled(None)
-        clear_index_memo()
 
 
 # -- the prologue word compare ---------------------------------------------

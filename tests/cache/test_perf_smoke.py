@@ -17,7 +17,7 @@ import pytest
 from repro.baselines import ALL_DETECTORS
 from repro.cache import DiskCache, set_default_cache
 from repro.elf.parser import ELFFile
-from repro.x86 import superset, vector
+from tests.x86.scalar_oracle import scalar_pipeline
 
 pytestmark = pytest.mark.perf_smoke
 
@@ -83,18 +83,11 @@ def test_batched_stores_served_and_flushed(sample_binary, tmp_path):
         set_default_cache(None)
 
 
-@pytest.mark.skipif(not vector.available(),
-                    reason="vectorized decode unavailable")
 def test_vectorized_matches_legacy(sample_binary):
-    """Scaled-down identity check: the five tools agree with the
-    vectorized sweep disabled and enabled (the full differential lives
-    in tests/x86/test_vector_differential.py)."""
+    """Scaled-down identity check: the five tools agree on the scalar
+    oracle index and sweep and on the vectorized ones (the full
+    differential lives in tests/x86/test_vector_differential.py)."""
     set_default_cache(None)
-    superset.clear_index_memo()
-    vector.set_enabled(False)
-    try:
+    with scalar_pipeline():
         legacy = _run_all(sample_binary.data)
-    finally:
-        vector.set_enabled(None)
-        superset.clear_index_memo()
     assert _run_all(sample_binary.data) == legacy

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.core.funseeker import FunSeeker
+from repro.core.funseeker import Config, FunSeeker
 from repro.core.robust import RobustFunSeeker
 from repro.eval.metrics import score
 from repro.synth import CompilerProfile, generate_program, link_program
@@ -22,10 +22,16 @@ def _binary_with_inline_data(seed: int, blobs: int = 10):
 
 
 class TestRobustFunSeeker:
-    def test_agrees_with_plain_on_clean_binaries(self, sample_binary):
-        plain = FunSeeker.from_bytes(sample_binary.data).identify()
-        robust = RobustFunSeeker.from_bytes(sample_binary.data).identify()
+    @pytest.mark.parametrize("config", list(Config), ids=lambda c: c.name)
+    def test_agrees_with_plain_on_clean_binaries(self, sample_binary,
+                                                 config):
+        plain = FunSeeker.from_bytes(sample_binary.data, config).identify()
+        robust = RobustFunSeeker.from_bytes(sample_binary.data,
+                                            config).identify()
         assert robust.functions == plain.functions
+        assert robust.endbr_filtered == plain.endbr_filtered
+        assert robust.tail_call_targets == plain.tail_call_targets
+        assert robust.cet_enabled == plain.cet_enabled
 
     def test_plain_poisoned_by_inline_data(self):
         binary = _binary_with_inline_data(seed=3)

@@ -7,13 +7,19 @@ declares, one at a time, through :func:`repro.cli.build_parser` and a
 namespace that records attribute reads. The heavy calls behind the
 handlers (corpus builds, sweeps, scans, chaos runs, the server) are
 stubbed, so only the option plumbing runs.
+
+The environment is part of the surface too: the package reads exactly
+the variables :data:`ENVIRONMENT` names, so a new knob cannot slip in
+through ``os.environ``.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import importlib
 import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -21,6 +27,9 @@ import pytest
 from repro import cli, obs
 from repro.cli import build_parser, main
 from repro.ingest.fixtures import synth_binary
+
+#: Every environment variable the package reads.
+ENVIRONMENT = {"REPRO_CACHE_DIR", "REPRO_FAULT_PLAN"}
 
 #: The arguments each command needs before any option is added.
 BASE = {
@@ -326,3 +335,62 @@ class TestScanResumeIdentity:
                    "--tools", "funseeker,naive-endbr",
                    "--output", str(tmp_path / "report")])
         assert rc == 0
+
+
+# -- the environment ---------------------------------------------------------
+
+def _is_environ(node) -> bool:
+    if isinstance(node, ast.Attribute):
+        return node.attr == "environ" and isinstance(node.value, ast.Name) \
+            and node.value.id == "os"
+    return isinstance(node, ast.Name) and node.id == "environ"
+
+
+def _reads_environ(func) -> bool:
+    """``os.environ.get``/``.pop``/``.setdefault`` or ``os.getenv``."""
+    if isinstance(func, ast.Attribute):
+        return func.attr == "getenv" or (
+            func.attr in ("get", "pop", "setdefault")
+            and _is_environ(func.value))
+    return isinstance(func, ast.Name) and func.id == "getenv"
+
+
+def _environment_reads() -> set[str]:
+    """Names read through ``os.environ.get``/``[...]``/``os.getenv``,
+    plus the value of every module-level ``ENV_*`` string constant."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(cli.__file__).parent.rglob("*.py"))}
+    constants: dict[str, str] = {}
+    for tree in trees.values():
+        for node in tree.body:
+            if isinstance(node, ast.Assign) \
+                    and isinstance(node.value, ast.Constant) \
+                    and isinstance(node.value.value, str):
+                constants.update(
+                    (target.id, node.value.value) for target in node.targets
+                    if isinstance(target, ast.Name)
+                    and target.id.startswith("ENV_"))
+    names = set(constants.values())
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Subscript) and _is_environ(node.value):
+                key = node.slice
+            elif isinstance(node, ast.Call) and node.args \
+                    and _reads_environ(node.func):
+                key = node.args[0]
+            else:
+                continue
+            if isinstance(key, ast.Constant) and isinstance(key.value, str):
+                names.add(key.value)
+                continue
+            ident = getattr(key, "id", None) or getattr(key, "attr", None)
+            assert ident in constants, (
+                f"{path.name}:{node.lineno}: environment read through "
+                f"{ast.unparse(key)}; name it with a literal or an ENV_* "
+                f"constant")
+            names.add(constants[ident])
+    return names
+
+
+def test_environment_reads_are_exactly_the_documented_ones():
+    assert _environment_reads() == ENVIRONMENT

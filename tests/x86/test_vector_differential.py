@@ -1,15 +1,19 @@
-"""Differential tests: vectorized decode vs the legacy scalar sweep.
+"""Differential tests: the decode index vs the scalar oracle walks.
 
 The vectorized pass (:mod:`repro.x86.vector`) exists purely as an
 accelerator — its contract is *bit-identical* outputs to the scalar
-superset sweep it replaced. These tests pin that contract from three
-angles: property-tested random/constructed byte streams, the checked-in
-fuzz-regression corpus, and whole-pipeline :class:`EvalReport` equality
-for all five detectors over a real corpus.
+superset sweep it replaced (``tests/x86/scalar_oracle.py``). These tests
+pin that contract from four angles: property-tested random/constructed
+byte streams, the checked-in fuzz-regression corpus, the sweeps that
+walk the index (plain, robust and the collection pass), and
+whole-pipeline :class:`EvalReport` equality for all five detectors over
+a real corpus.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -17,14 +21,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro.baselines import ALL_DETECTORS
 from repro.cache.disk import reset_default_cache, set_default_cache
-from repro.core.disassemble import disassemble
+from repro.core.disassemble import disassemble, disassemble_robust
 from repro.elf import constants as C
+from repro.elf.parser import ELFFile
 from repro.eval.runner import run_evaluation
-from repro.x86 import superset, vector
+from repro.x86 import superset
+from repro.x86.sweep import linear_sweep
 
-pytestmark = pytest.mark.skipif(
-    not vector.available(), reason="vectorized decode unavailable"
-)
+from tests.core.test_robust import _binary_with_inline_data
+from tests.x86 import scalar_oracle as oracle
 
 TOOLS = ("funseeker", "ida", "ghidra", "fetch", "naive-endbr")
 
@@ -63,17 +68,9 @@ _streams = st.one_of(
 
 
 def _index_pair(data: bytes, bits: int, base: int):
-    """Build the same index twice: scalar-forced, then vectorized."""
-    vector.set_enabled(False)
-    try:
-        legacy = superset.build_index(data, bits, base)
-    finally:
-        vector.set_enabled(None)
-    vector.set_enabled(True)
-    try:
-        fast = superset.build_index(data, bits, base)
-    finally:
-        vector.set_enabled(None)
+    """Build the same index twice: scalar oracle, then vectorized."""
+    legacy = oracle.build_index(data, bits, base)
+    fast = superset.build_index(data, bits, base)
     return legacy, fast
 
 
@@ -106,42 +103,82 @@ class TestIndexIdentity:
         _assert_index_identical(path.read_bytes(), bits)
 
 
+def _text(image: bytes) -> tuple[bytes, int, int]:
+    elf = ELFFile(image)
+    txt = elf.section(C.SECTION_TEXT)
+    return txt.data, txt.sh_addr, 64 if elf.is64 else 32
+
+
+@lru_cache(maxsize=None)
+def _inline_data_text(seed: int) -> tuple[bytes, int, int]:
+    return _text(_binary_with_inline_data(seed=seed).data)
+
+
+#: Inputs for the sweep identities: the inline-data binaries of
+#: ``tests/core/test_robust.py``, the two sample binaries, and the
+#: fuzz-regression corpus decoded as raw code at both bitnesses.
+SWEEP_CASES = (
+    [f"inline-data-{seed}" for seed in (1, 2, 3)]
+    + ["sample_binary", "sample_c_binary"]
+    + [f"{path.name}-{bits}" for path in sorted(FUZZ_DIR.glob("*.bin"))
+       for bits in (32, 64)]
+)
+
+
+@pytest.fixture(params=SWEEP_CASES)
+def sweep_input(request) -> tuple[bytes, int, int]:
+    case = request.param
+    if case.startswith("inline-data-"):
+        return _inline_data_text(int(case.rsplit("-", 1)[1]))
+    if case.startswith("sample_"):
+        return _text(request.getfixturevalue(case).data)
+    name, bits = case.rsplit("-", 1)
+    return (FUZZ_DIR / name).read_bytes(), 0x1000, int(bits)
+
+
 class TestSweepIdentity:
     def test_sample_binary_sweep(self, sample_elf):
         """Full SweepResult equality on a real gcc/O2/PIE C++ binary."""
         txt = sample_elf.section(C.SECTION_TEXT)
         assert txt is not None and txt.data
-        vector.set_enabled(False)
-        try:
-            legacy = disassemble(txt.data, txt.sh_addr, 64)
-        finally:
-            vector.set_enabled(None)
-        vector.set_enabled(True)
-        try:
-            fast = disassemble(txt.data, txt.sh_addr, 64)
-        finally:
-            vector.set_enabled(None)
+        legacy = oracle.disassemble(txt.data, txt.sh_addr, 64)
+        fast = disassemble(txt.data, txt.sh_addr, 64)
         assert fast == legacy
 
     def test_sample_binary_index(self, sample_elf, sample_c_binary):
-        from repro.elf.parser import ELFFile
-
         txt = sample_elf.section(C.SECTION_TEXT)
         _assert_index_identical(txt.data, 64, base=txt.sh_addr)
         elf32 = ELFFile(sample_c_binary.data)
         txt32 = elf32.section(C.SECTION_TEXT)
         _assert_index_identical(txt32.data, 32, base=txt32.sh_addr)
 
+    def test_robust_collection_matches_oracle(self, sweep_input):
+        """The viability-skipping collection pass equals the old one
+        built on ``Insn`` objects from ``robust_sweep``."""
+        data, base, bits = sweep_input
+        assert disassemble_robust(data, base, bits) == \
+            oracle.disassemble_robust(data, base, bits)
+
+    def test_collection_matches_oracle(self, sweep_input):
+        data, base, bits = sweep_input
+        assert disassemble(data, base, bits) == \
+            oracle.disassemble(data, base, bits)
+
+    def test_linear_sweep_matches_oracle(self, sweep_input):
+        data, base, bits = sweep_input
+        assert list(linear_sweep(data, base, bits)) == \
+            list(oracle.linear_sweep(data, base, bits))
+
 
 def _canonical_report(corpus, enabled: bool):
+    pipeline = nullcontext() if enabled else oracle.scalar_pipeline()
     superset.clear_index_memo()
-    vector.set_enabled(enabled)
-    try:
-        detectors = {name: ALL_DETECTORS[name]() for name in TOOLS}
-        report = run_evaluation(corpus, detectors)
-    finally:
-        vector.set_enabled(None)
-        superset.clear_index_memo()
+    with pipeline:
+        try:
+            detectors = {name: ALL_DETECTORS[name]() for name in TOOLS}
+            report = run_evaluation(corpus, detectors)
+        finally:
+            superset.clear_index_memo()
     assert not report.failures
     return sorted(
         (r.suite, r.program, r.compiler, r.bits, r.pie, r.opt, r.tool,
